@@ -50,10 +50,14 @@ class InclusionMatrix:
         return [sum(row) for row in self.entries]
 
 
-def af_level(k: int) -> AfLevel:
-    """Level k of the tower: basis = factors of length 2k, sorted."""
+def _check_level(k: int) -> None:
     if not 1 <= k <= MAX_LEVEL:
         raise ResourceLimitError(f"level must lie in [1, {MAX_LEVEL}]")
+
+
+def af_level(k: int) -> AfLevel:
+    """Level k of the tower: basis = factors of length 2k, sorted."""
+    _check_level(k)
     return AfLevel(k, tuple(factors_of_length(2 * k)))
 
 
@@ -92,6 +96,7 @@ def push_trace_down(matrix: InclusionMatrix, upper: list) -> list:
 
 def bratteli_data(kmax: int) -> dict:
     """Levels and inclusion matrices up to kmax, JSON-ready."""
+    _check_level(kmax)
     levels = []
     for k in range(1, kmax + 1):
         level = af_level(k)
@@ -108,6 +113,7 @@ def bratteli_json(kmax: int) -> str:
 
 def bratteli_dot(kmax: int) -> str:
     """The Bratteli diagram as a DOT digraph, one rank per level."""
+    _check_level(kmax)
     lines = ["digraph bratteli {", "  rankdir=TB;", "  node [shape=point];"]
     for k in range(1, kmax + 1):
         names = " ".join(f'"L{k}_{mu}"' for mu in af_level(k).basis)

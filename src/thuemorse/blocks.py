@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import LevelError, NotAFactorError
-from .words import block, is_factor, require_factor
+from .words import block, is_factor, require_factor, short_word_cache
 
 
 @dataclass(frozen=True)
@@ -159,15 +159,17 @@ def decompose(w: str, n: int) -> BlockDecomposition:
     return d
 
 
-def choose_level(w: str) -> int:
-    """The largest level at which w decomposes into 2..4 full blocks."""
-    require_factor(w)
-    if len(w) < 2:
-        raise LevelError("words of length < 2 have no block decomposition")
+# choose_level, trace_range and reduce_class of one word share one lift
+# chain; an entry holds at most about 2 * MAX_CACHED_LENGTH letters
+@short_word_cache(maxsize=1 << 9)
+def _maximal(w: str):
+    """The decomposition of a factor at its largest level, or None below level 1.
+
+    Only words of length <= 4 lack a level-1 grid with two full blocks.
+    """
     d = _level1_split(w)
     if d is None:
-        # only words of length <= 4 lack a level-1 grid with two blocks
-        return 0
+        return None
     while True:
         nxt = _regroup(d)
         if nxt is None:
@@ -175,7 +177,16 @@ def choose_level(w: str) -> int:
         d = nxt
     if not 2 <= len(d.blocks) <= 4:
         raise RuntimeError(f"maximal regrouping of {w!r} left {len(d.blocks)} blocks")
-    return d.level
+    return d
+
+
+def choose_level(w: str) -> int:
+    """The largest level at which w decomposes into 2..4 full blocks."""
+    require_factor(w)
+    if len(w) < 2:
+        raise LevelError("words of length < 2 have no block decomposition")
+    d = _maximal(w)
+    return 0 if d is None else d.level
 
 
 def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:

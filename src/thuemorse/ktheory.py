@@ -9,10 +9,12 @@ these generators through the canonical block decomposition, and the
 induced trace evaluation sends (a, b) at level n to (a + b)/(6 * 2^n),
 landing in the rationals with denominator dividing some 3 * 2^m.
 
-Classes of pure block words of lengths four to six are solved once from
-the one-block splitting relations by exact rational elimination; the
-template equations come from splitting a three-block word into its
-four-block extensions.
+Classes of pure block words of lengths four to six are pinned as the
+literal table BLOCK_CLASS_TABLE.  solve_block_class_table re-derives it
+from the one-block splitting relations by exact rational elimination
+(the template equations come from splitting a three-block word into its
+four-block extensions), and the verification suite and the tests
+require the two to agree entry for entry.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .blocks import choose_level, complete_boundaries, decompose
+from .blocks import _maximal, complete_boundaries, decompose
 from .errors import LevelError
 from .extensions import extension_set
 from .words import factors_of_length, is_factor, require_factor
@@ -138,9 +139,8 @@ def _solve_unique(rows, rhs, n_unknowns):
     return [m[i][n_unknowns] for i in piv_rows]
 
 
-@lru_cache(maxsize=1)
-def _block_class_table():
-    """Classes of factor block words of lengths 4..6.
+def solve_block_class_table() -> dict:
+    """Classes of factor block words of lengths 4..6, solved from scratch.
 
     Values are (offset, a, b): the class equals a * a_m + b * b_m at
     level m = n + offset when the word sits on the level-n block grid.
@@ -229,6 +229,21 @@ def _block_class_table():
     return table
 
 
+# solve_block_class_table(), pinned; word -> (offset, a, b)
+BLOCK_CLASS_TABLE = {
+    "0010": (1, 0, 1), "0011": (1, 1, 0), "0100": (1, 0, 1), "0101": (1, 0, 1),
+    "0110": (1, 1, 1), "1001": (1, 1, 1), "1010": (1, 0, 1), "1011": (1, 0, 1),
+    "1100": (1, 1, 0), "1101": (1, 0, 1),
+    "00101": (1, 0, 1), "00110": (1, 1, 0), "01001": (1, 0, 1), "01011": (1, 0, 1),
+    "01100": (1, 1, 0), "01101": (1, 0, 1), "10010": (1, 0, 1), "10011": (1, 1, 0),
+    "10100": (1, 0, 1), "10110": (1, 0, 1), "11001": (1, 1, 0), "11010": (1, 0, 1),
+    "001011": (1, 0, 1), "001100": (2, 0, 1), "001101": (2, 0, 1), "010010": (2, 1, 0),
+    "010011": (2, 0, 1), "010110": (1, 0, 1), "011001": (1, 1, 0), "011010": (1, 0, 1),
+    "100101": (1, 0, 1), "100110": (1, 1, 0), "101001": (1, 0, 1), "101100": (2, 0, 1),
+    "101101": (2, 1, 0), "110010": (2, 0, 1), "110011": (2, 0, 1), "110100": (1, 0, 1),
+}
+
+
 def _block_word_class(c: str, n: int) -> K0Element:
     """Class of the expansion of the block word c at level n."""
     if len(c) == 3:
@@ -241,7 +256,7 @@ def _block_word_class(c: str, n: int) -> K0Element:
                 total = k0_add(total, _block_word_class(c + k, n))
         return total
     if 4 <= len(c) <= 6:
-        offset, a, b = _block_class_table()[c]
+        offset, a, b = BLOCK_CLASS_TABLE[c]
         return normal_form(K0Element(n + offset, a, b))
     raise ValueError(f"unexpected block word length {len(c)}")
 
@@ -261,8 +276,7 @@ def reduce_class(w: str) -> K0Element:
             ga, gb = _generator_pair(u)
             total = k0_add(total, K0Element(0, ga, gb))
         return total
-    n = choose_level(w)
-    d = complete_boundaries(decompose(w, n))
+    d = complete_boundaries(_maximal(w) or decompose(w, 0))
     c = "".join("01"[bit] for bit in d.blocks)
     return _block_word_class(c, d.level)
 

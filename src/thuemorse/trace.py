@@ -2,25 +2,35 @@
 
 Every factor w has a well-defined frequency in the Thue-Morse sequence,
 and the frequencies are the values of the unique tracial state on range
-projections.  They satisfy a peeling rule: every length-3 factor has
-value 1/6, and prepending a letter to a word of length >= 3 keeps the
-value when the complementary extension is impossible and halves it when
-both extensions occur.  Lengths 1 and 2 are fixed by additivity over
-left extensions.  All arithmetic is exact rational.
+projections.  They are defined by a peeling rule: every length-3 factor
+has value 1/6, and prepending a letter to a word of length >= 3 keeps
+the value when the complementary extension is impossible and halves it
+when both extensions occur.  Lengths 1 and 2 are fixed by additivity
+over left extensions.
+
+Peeling costs O(|w|^2), so it only evaluates words of at most six
+letters.  A longer word w goes through its canonical block
+decomposition: completed at both ends it is the level-n expansion of a
+block word c of 2..6 letters, and trace(w) = trace(c) / 2^n, which is
+O(|w|).  Every value has the form 1/(3 * 2^m) or 1/(6 * 2^m) (Dekking,
+Acta Univ. Carolinae Math. Phys. 33, 1992).  All arithmetic is exact
+rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
+from .blocks import _maximal, complete_boundaries
 from .errors import ResourceLimitError
-from .words import _check_word, is_factor, require_factor, tm_prefix_array
+from .words import _check_word, is_factor, require_factor, short_word_cache, tm_prefix_array
 
 MAX_FREQUENCY_WINDOW = 1 << 26
 MAX_BLOCK_TRACE_LEVEL = 30
+# every completed block word has at most six letters
+MAX_PEEL_LENGTH = 6
 
 _HALF = Fraction(1, 2)
 
@@ -29,13 +39,13 @@ def _flip(c: str) -> str:
     return "1" if c == "0" else "0"
 
 
-@lru_cache(maxsize=None)
-def _trace(w: str) -> Fraction:
+def _peel(w: str) -> Fraction:
+    """The trace of a factor by the peeling rule; O(|w|^2) membership tests."""
     if len(w) < 3:
         total = Fraction(0)
         for a in ("0", "1"):
             if is_factor(a + w):
-                total += _trace(a + w)
+                total += _peel(a + w)
         return total
     value = Fraction(1, 6)
     # peel leading letters off successively longer suffixes of w
@@ -43,6 +53,14 @@ def _trace(w: str) -> Fraction:
         if is_factor(_flip(w[k]) + w[k + 1:]):
             value /= 2
     return value
+
+
+@short_word_cache(maxsize=1 << 12)
+def _trace(w: str) -> Fraction:
+    if len(w) <= MAX_PEEL_LENGTH:
+        return _peel(w)
+    d = complete_boundaries(_maximal(w))
+    return _trace("".join("01"[b] for b in d.blocks)) / 2 ** d.level
 
 
 def trace_range(w: str) -> Fraction:

@@ -39,13 +39,15 @@ def check_trace_values(quick: bool) -> dict:
 
 
 def check_block_traces(quick: bool) -> dict:
-    """Closed-form two-block traces against the peeling recursion."""
+    """Closed-form two-block traces against the peeling recursion and
+    the block-decomposition route of trace_range."""
     n_max = 5 if quick else 8
     for n in range(n_max + 1):
         for i in (0, 1):
             for j in (0, 1):
                 w = words.block(i, n) + words.block(j, n)
-                if trace.trace_range(w) != trace.block_trace(i, j, n):
+                expected = trace.block_trace(i, j, n)
+                if not trace._peel(w) == trace.trace_range(w) == expected:
                     return _result("block-traces", False, f"mismatch at {(i, j, n)}")
     return _result("block-traces", True, f"all pairs for n <= {n_max}")
 
@@ -215,8 +217,13 @@ def check_combinatorics(quick: bool) -> dict:
 
 
 def check_k_theory(quick: bool) -> dict:
-    """Reduction soundness, generator relations, order unit, kernel element."""
+    """Pinned block-class table, reduction soundness, generator relations,
+    order unit, kernel element."""
     max_len = 8 if quick else 12
+    solved = ktheory.solve_block_class_table()
+    if solved != ktheory.BLOCK_CLASS_TABLE:
+        bad = sorted(set(solved.items()) ^ set(ktheory.BLOCK_CLASS_TABLE.items()))
+        return _result("k-theory", False, f"pinned block-class table differs at {bad[0]}")
     for w in _all_factors_upto(max_len):
         if ktheory.evaluate(ktheory.reduce_class(w)) != trace.trace_range(w):
             return _result("k-theory", False, f"evaluation fails at {w}")

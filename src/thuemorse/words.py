@@ -11,7 +11,7 @@ factor.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -20,6 +20,13 @@ from .errors import NotAFactorError, ResourceLimitError
 MAX_SLICE = 1 << 26
 MAX_BLOCK_LEVEL = 30
 MAX_FACTOR_LENGTH = 64
+# Longest word any word-taking function accepts.  Membership, block
+# decomposition, trace and K0 reduction all run in O(|w|) time and
+# memory, so this bounds every per-word query.
+MAX_WORD_LENGTH = 1 << 20
+# Memoised functions of a word skip words longer than this, so a cache of
+# N entries holds at most N * MAX_CACHED_LENGTH letters.
+MAX_CACHED_LENGTH = 4096
 
 
 def _factor_window(L: int) -> int:
@@ -39,9 +46,30 @@ def _check_word(w: str, allow_empty: bool = False) -> str:
         raise TypeError(f"word must be a string, got {type(w).__name__}")
     if not w and not allow_empty:
         raise ValueError("empty word not allowed here")
+    if len(w) > MAX_WORD_LENGTH:
+        raise ResourceLimitError(f"word length {len(w)} exceeds {MAX_WORD_LENGTH}")
     if w.strip("01"):
         raise ValueError(f"word must consist of '0'/'1' only: {w!r}")
     return w
+
+
+def short_word_cache(maxsize: int):
+    """An lru_cache of `maxsize` entries that only memoises short words.
+
+    Words longer than MAX_CACHED_LENGTH are computed afresh on every
+    call.  The wrapper exposes the cache's cache_info and cache_clear.
+    """
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def wrapper(w):
+            return cached(w) if len(w) <= MAX_CACHED_LENGTH else fn(w)
+
+        wrapper.cache_info = cached.cache_info
+        wrapper.cache_clear = cached.cache_clear
+        return wrapper
+    return decorate
 
 
 def complement(w: str) -> str:
@@ -146,7 +174,9 @@ def _base_factors() -> frozenset:
     return frozenset(found)
 
 
-@lru_cache(maxsize=None)
+# 3.6 times the 2.2k words (queries and their de-substituted parents)
+# that a batch of 20k mixed queries on words of <= 64 letters validates
+@short_word_cache(maxsize=1 << 13)
 def _is_factor(w: str) -> bool:
     if len(w) <= _BASE_LENGTH:
         return w in _base_factors()

@@ -20,6 +20,11 @@ def test_level_validation():
         afcore.af_level(0)
     with pytest.raises(ResourceLimitError):
         afcore.af_level(13)
+    for k in (-3, 0, 13):
+        with pytest.raises(ResourceLimitError):
+            afcore.bratteli_data(k)
+        with pytest.raises(ResourceLimitError):
+            afcore.bratteli_dot(k)
 
 
 def test_inclusion_matrix_columns():

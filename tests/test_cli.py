@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from thuemorse import cli
+import pytest
+
+from thuemorse import cli, words
 
 
 def run_json(capsys, argv):
@@ -113,6 +115,35 @@ def test_verify_quick(capsys):
 def test_domain_error_exit_code(capsys):
     code, payload = run_json(capsys, ["trace", "100100"])
     assert code == 1 and "error" in payload
+
+
+OVER_CAP = "0" * (words.MAX_WORD_LENGTH + 1)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bratteli", "-3"], 1),
+    (["bratteli", "0"], 1),
+    (["bratteli", "1"], 0),
+    (["bratteli", "12"], 0),
+    (["bratteli", "13"], 1),
+    (["bratteli", "0", "--dot"], 1),
+    (["bratteli", "13", "--dot"], 1),
+    (["factors", "0"], 1),
+    (["factors", "1"], 0),
+    (["factors", "64"], 0),
+    (["factors", "65"], 1),
+    (["extensions", "0110", "-1", "0"], 1),
+    (["extensions", "0110", "0", "-1"], 1),
+    (["extensions", "0110", "0", "0"], 0),
+    (["factor", OVER_CAP[1:]], 0),
+    (["factor", OVER_CAP], 1),
+    (["trace", OVER_CAP], 1),
+    (["k0-reduce", OVER_CAP], 1),
+])
+def test_boundary_values(capsys, argv, code):
+    got, payload = run_json(capsys, argv)
+    assert got == code
+    assert ("error" in payload) == (code == 1)
 
 
 def test_usage_errors_exit_two(capsys):

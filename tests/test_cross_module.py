@@ -59,3 +59,13 @@ def test_long_two_block_words():
         assert trace.trace_range(same) == Fraction(1, 6 * 2 ** n)
         assert ktheory.evaluate(ktheory.reduce_class(mixed)) == Fraction(1, 3 * 2 ** n)
         assert blocks.choose_level(same) == n
+
+
+def test_million_letter_factor():
+    # the block route is O(|w|): a factor of 10^6 letters at a negative
+    # offset gets its exact trace and K0 class in about a second
+    w = words.tm_slice(-300001, 10 ** 6 - 300001)
+    value = trace.trace_range(w)
+    assert value == ktheory.evaluate(ktheory.reduce_class(w))
+    assert value == Fraction(1, 3 * 2 ** 20)
+    assert words._is_factor.cache_info().currsize <= words._is_factor.cache_info().maxsize

@@ -141,9 +141,15 @@ def test_trace_image_values_hit():
         assert ktheory.evaluate(ktheory.reduce_class(mixed)) == Fraction(1, 3 * 2 ** n)
 
 
+def test_pinned_block_table_matches_solver():
+    solved = ktheory.solve_block_class_table()
+    assert len(solved) == 38
+    assert solved == ktheory.BLOCK_CLASS_TABLE
+
+
 def test_block_table_respects_splitting_relations():
     # re-derive every stored class through one-block splitting at level 0
-    table = ktheory._block_class_table()
+    table = ktheory.BLOCK_CLASS_TABLE
     for c, (offset, a, b) in table.items():
         value = ktheory.evaluate(K0Element(offset, a, b))
         assert value == trace.trace_range(c)

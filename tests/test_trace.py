@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thuemorse import trace, words
+from thuemorse import blocks, ktheory, trace, words
 from thuemorse.errors import NotAFactorError, ResourceLimitError
 
 SIXTH = Fraction(1, 6)
@@ -81,9 +83,43 @@ def test_block_trace_matches_peeling():
         for i in (0, 1):
             for j in (0, 1):
                 w = words.block(i, n) + words.block(j, n)
-                assert trace.trace_range(w) == trace.block_trace(i, j, n)
+                assert trace._peel(w) == trace.trace_range(w) == trace.block_trace(i, j, n)
         # same-letter pairs are strictly rarer than mixed pairs
         assert trace.block_trace(0, 0, n) < trace.block_trace(0, 1, n)
+
+
+def _three_routes(w):
+    """Block route, peeling definition and K0 evaluation of one factor."""
+    return trace.trace_range(w), trace._peel(w), ktheory.evaluate(ktheory.reduce_class(w))
+
+
+def test_block_route_matches_peeling_exhaustive():
+    # every factor of <= 39 letters: 2332 words, block levels up to 4
+    for L in range(1, 40):
+        for w in words.factors_of_length(L):
+            block, peel, k0 = _three_routes(w)
+            assert block == peel == k0, w
+
+
+@given(st.integers(min_value=-(1 << 40), max_value=1 << 40),
+       st.integers(min_value=2, max_value=1500))
+@settings(max_examples=40, deadline=None)
+def test_block_route_matches_peeling_on_far_long_factors(start, length):
+    # letters from the digit-sum rule, far beyond the reach of tm_slice
+    w = "".join("01"[words.tm_letter(i)] for i in range(start, start + length))
+    block, peel, k0 = _three_routes(w)
+    assert block == peel == k0
+    assert block.numerator == 1 and ktheory.is_dyadic_third(block)
+
+
+def test_trace_cache_is_bounded():
+    cache = trace._trace
+    bound = cache.cache_info().maxsize
+    for k in range(bound + 100):
+        trace.trace_range(words.tm_slice(k, k + 40 + k % 50))
+    assert cache.cache_info().currsize <= bound
+    shared = blocks._maximal.cache_info()
+    assert shared.currsize <= shared.maxsize < bound
 
 
 def test_additivity_both_sides():

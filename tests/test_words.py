@@ -146,6 +146,41 @@ def test_is_factor_on_mutated_long_factors(oracle_prefix):
                 assert words.is_factor(mutated) == (mutated in oracle_prefix)
 
 
+def test_short_word_cache_skips_long_words():
+    calls = []
+
+    @words.short_word_cache(maxsize=4)
+    def size(w):
+        calls.append(w)
+        return len(w)
+
+    for k in range(10):
+        size("0" * k)
+    assert size.cache_info().currsize == 4
+    short, long_word = "01", "0" * (words.MAX_CACHED_LENGTH + 1)
+    assert size(short) == size(short) == 2
+    assert size(long_word) == size(long_word) == len(long_word)
+    assert calls.count(short) == 1 and calls.count(long_word) == 2
+
+
+def test_is_factor_cache_is_bounded():
+    cache = words._is_factor
+    bound = cache.cache_info().maxsize
+    for x in range(bound + 100):
+        assert words.is_factor(words.tm_slice(x, x + 100 + x % 200))
+    assert cache.cache_info().currsize <= bound
+
+
+def test_word_length_cap():
+    cap = words.MAX_WORD_LENGTH
+    assert cap >= 10 ** 6
+    assert words.is_factor("0" * cap) is False
+    with pytest.raises(ResourceLimitError):
+        words.is_factor("0" * (cap + 1))
+    with pytest.raises(ResourceLimitError):
+        words.require_factor("01" * (cap // 2) + "1")
+
+
 def test_factors_of_length_counts(oracle_factors):
     assert [len(words.factors_of_length(L)) for L in range(1, 9)] == [
         2, 4, 6, 10, 12, 16, 20, 22]
