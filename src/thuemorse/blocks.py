@@ -6,9 +6,14 @@ four full substitution blocks of some level n, and a partial block:
     w = gamma0 . i1^(n) ... ik^(n) . gamma1      (2 <= k <= 4)
 
 where i^(n) denotes the n-fold substitution image of the letter i.  At a
-fixed level the expression is unique.  The decomposition is computed by
-aligning the level-1 grid (forced by any 00 or 11, which must straddle a
-grid boundary) and then regrouping pairs of blocks one level at a time.
+fixed level the expression is unique.  All levels of one word come
+from one lift chain: `words.lift` de-substitutes w on the level-1 grid
+(forced by any 00 or 11, which must straddle a grid boundary), then the
+block-letter string of each level on its own 2-grid, until no grid
+leaves two full blocks.  The chain of a word of at most
+`words.MAX_CACHED_LENGTH` letters is cached, so `choose_level`,
+`decompose`, `trace_range` and `reduce_class` of one word build it once;
+the cache holds 512 chains of at most |w| block letters each.
 """
 
 from __future__ import annotations
@@ -16,8 +21,26 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import LevelError, NotAFactorError
-from .words import block, is_factor, require_factor, short_word_cache
+from .errors import InvariantError, LevelError, NotAFactorError
+from .words import block, complement, is_factor, lift, require_factor, short_word_cache, tm_prefix
+
+
+def _owner(gamma: str, level: int, suffix: bool):
+    """The letter j whose level-n block starts with gamma (ends with it when
+    `suffix`), or None; gamma is nonempty and shorter than a block.
+
+    The length-g prefix of block(j, n) is tm_prefix(g), complemented when
+    j = 1; its suffix is tm_prefix(g) reversed, complemented when j + n is
+    odd.  So one O(|gamma|) comparison replaces building both blocks.
+    """
+    edge, flip = tm_prefix(len(gamma)), 0
+    if suffix:
+        edge, flip = edge[::-1], level & 1
+    if gamma == edge:
+        return flip
+    if gamma == complement(edge):
+        return 1 - flip
+    return None
 
 
 @dataclass(frozen=True)
@@ -36,19 +59,15 @@ class BlockDecomposition:
             raise ValueError("at least one full block required")
         if any(b not in (0, 1) for b in self.blocks):
             raise ValueError("blocks must be 0/1 letters")
-        size = 1 << self.level
         for gamma, side in ((self.gamma0, "gamma0"), (self.gamma1, "gamma1")):
-            if len(gamma) >= size:
+            # len(gamma) >= 2**level, without building 2**level
+            if len(gamma).bit_length() > self.level:
                 raise ValueError(f"{side} must be shorter than a level-{self.level} block")
             if gamma.strip("01"):
                 raise ValueError(f"{side} must consist of '0'/'1' only")
-        if self.gamma0 and not any(
-            block(j, self.level).endswith(self.gamma0) for j in (0, 1)
-        ):
+        if self.gamma0 and _owner(self.gamma0, self.level, suffix=True) is None:
             raise ValueError("gamma0 is not a final subword of a block")
-        if self.gamma1 and not any(
-            block(j, self.level).startswith(self.gamma1) for j in (0, 1)
-        ):
+        if self.gamma1 and _owner(self.gamma1, self.level, suffix=False) is None:
             raise ValueError("gamma1 is not an initial subword of a block")
 
     def word(self) -> str:
@@ -72,67 +91,44 @@ def recompose(d: BlockDecomposition) -> str:
     return d.gamma0 + middle + d.gamma1
 
 
-def _level1_split(w: str):
-    """The unique level-1 split of a factor with >= 2 full blocks.
+# 512 entries of at most |w| <= MAX_CACHED_LENGTH block letters each
+@short_word_cache(maxsize=1 << 9)
+def _chain(w: str) -> tuple:
+    """The lift chain of a factor: one (block letters c, grid offset) per level.
 
-    The grid alignment is forced: any 00 or 11 must straddle a pair
-    boundary, and alternating words long enough to be ambiguous contain
-    an overlap, so they are not factors.
+    Entry n - 1 describes level n: w[off:off + len(c) * 2**n] is the
+    expansion of c, and the ends outside it are gamma0 and gamma1.  The
+    chain climbs while exactly one 2-grid of c leaves at least two full
+    blocks, and is empty for words with no such level-1 grid (only words
+    of length <= 4).  A second feasible grid would make two different
+    splits of one factor, which uniqueness rules out.
     """
-    found = None
-    for phase in (0, 1):
-        k = (len(w) - phase) // 2
-        if k < 2:
-            continue
-        bits = []
-        ok = True
-        for t in range(k):
-            a, b = w[phase + 2 * t], w[phase + 2 * t + 1]
-            if a == b:
-                ok = False
-                break
-            bits.append(int(a))
-        if not ok:
-            continue
-        gamma0 = w[:phase]
-        gamma1 = w[phase + 2 * k:]
-        cand = BlockDecomposition(1, gamma0, tuple(bits), gamma1)
-        if found is not None:
-            raise RuntimeError(f"ambiguous level-1 grid for factor {w!r}")
-        found = cand
-    return found
+    chain = []
+    c, off = w, 0
+    while True:
+        found = None
+        for phase in (0, 1):
+            if (len(c) - phase) // 2 < 2:
+                continue
+            up = lift(c, phase)
+            if up is None:
+                continue
+            if found is not None:
+                raise InvariantError(
+                    f"ambiguous level-{len(chain) + 1} grid for factor {w!r}")
+            found = (up, off + (phase << len(chain)))
+        if found is None:
+            break
+        chain.append(found)
+        c, off = found
+    if chain and not 2 <= len(c) <= 4:
+        raise InvariantError(f"maximal regrouping of {w!r} left {len(c)} blocks")
+    return tuple(chain)
 
 
-def _regroup(d: BlockDecomposition) -> BlockDecomposition:
-    """Regroup pairs of level-n blocks into level-(n+1) blocks.
-
-    A pair (i, j) forms a level-(n+1) block iff j is the complement of
-    i.  Dangling blocks at either end are absorbed into gamma0/gamma1.
-    Returns None when neither alignment yields >= 2 full blocks.
-    """
-    c = d.blocks
-    found = None
-    for phase in (0, 1):
-        k = (len(c) - phase) // 2
-        if k < 2:
-            continue
-        bits = []
-        ok = True
-        for t in range(k):
-            i, j = c[phase + 2 * t], c[phase + 2 * t + 1]
-            if i == j:
-                ok = False
-                break
-            bits.append(i)
-        if not ok:
-            continue
-        gamma0 = d.gamma0 + (block(c[0], d.level) if phase else "")
-        gamma1 = (block(c[-1], d.level) if (len(c) - phase) % 2 else "") + d.gamma1
-        cand = BlockDecomposition(d.level + 1, gamma0, tuple(bits), gamma1)
-        if found is not None:
-            raise RuntimeError("ambiguous regrouping; input cannot be a factor")
-        found = cand
-    return found
+def _split(w: str, chain: tuple, n: int) -> BlockDecomposition:
+    c, off = chain[n - 1]
+    return BlockDecomposition(n, w[:off], tuple(map(int, c)), w[off + (len(c) << n):])
 
 
 def decompose(w: str, n: int) -> BlockDecomposition:
@@ -147,37 +143,19 @@ def decompose(w: str, n: int) -> BlockDecomposition:
     if n < 0:
         raise ValueError("level must be nonnegative")
     if n == 0:
-        return BlockDecomposition(0, "", tuple(int(ch) for ch in w), "")
-    d = _level1_split(w)
-    if d is None:
+        return BlockDecomposition(0, "", tuple(map(int, w)), "")
+    chain = _chain(w)
+    if not chain:
         raise LevelError(f"no level-1 decomposition of {w!r} with two full blocks")
-    while d.level < n:
-        nxt = _regroup(d)
-        if nxt is None:
-            raise LevelError(f"no level-{n} decomposition of {w!r} with two full blocks")
-        d = nxt
-    return d
+    if n > len(chain):
+        raise LevelError(f"no level-{n} decomposition of {w!r} with two full blocks")
+    return _split(w, chain, n)
 
 
-# choose_level, trace_range and reduce_class of one word share one lift
-# chain; an entry holds at most about 2 * MAX_CACHED_LENGTH letters
-@short_word_cache(maxsize=1 << 9)
 def _maximal(w: str):
-    """The decomposition of a factor at its largest level, or None below level 1.
-
-    Only words of length <= 4 lack a level-1 grid with two full blocks.
-    """
-    d = _level1_split(w)
-    if d is None:
-        return None
-    while True:
-        nxt = _regroup(d)
-        if nxt is None:
-            break
-        d = nxt
-    if not 2 <= len(d.blocks) <= 4:
-        raise RuntimeError(f"maximal regrouping of {w!r} left {len(d.blocks)} blocks")
-    return d
+    """The decomposition of a factor at its largest level, or None below level 1."""
+    chain = _chain(w)
+    return _split(w, chain, len(chain)) if chain else None
 
 
 def choose_level(w: str) -> int:
@@ -185,8 +163,7 @@ def choose_level(w: str) -> int:
     require_factor(w)
     if len(w) < 2:
         raise LevelError("words of length < 2 have no block decomposition")
-    d = _maximal(w)
-    return 0 if d is None else d.level
+    return len(_chain(w))
 
 
 def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:
@@ -202,29 +179,21 @@ def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:
         raise ValueError("completion needs at least two full blocks")
     blocks = list(d.blocks)
     if d.gamma0:
-        j = _unique_suffix_owner(d.gamma0, d.level)
-        blocks.insert(0, j)
+        blocks.insert(0, _unique_owner(d.gamma0, d.level, suffix=True))
     if d.gamma1:
-        j = _unique_prefix_owner(d.gamma1, d.level)
-        blocks.append(j)
+        blocks.append(_unique_owner(d.gamma1, d.level, suffix=False))
     out = BlockDecomposition(d.level, "", tuple(blocks), "")
     if not is_factor("".join("01"[b] for b in out.blocks)):
-        raise RuntimeError(f"boundary completion of {d} is not a factor")
+        raise InvariantError(f"boundary completion of {d} is not a factor")
     return out
 
 
-def _unique_suffix_owner(gamma: str, level: int) -> int:
-    owners = [j for j in (0, 1) if block(j, level).endswith(gamma)]
-    if len(owners) != 1:
-        raise RuntimeError(f"{gamma!r} is a suffix of {len(owners)} level-{level} blocks")
-    return owners[0]
-
-
-def _unique_prefix_owner(gamma: str, level: int) -> int:
-    owners = [j for j in (0, 1) if block(j, level).startswith(gamma)]
-    if len(owners) != 1:
-        raise RuntimeError(f"{gamma!r} is a prefix of {len(owners)} level-{level} blocks")
-    return owners[0]
+def _unique_owner(gamma: str, level: int, suffix: bool) -> int:
+    j = _owner(gamma, level, suffix)
+    if j is None:
+        side = "suffix" if suffix else "prefix"
+        raise InvariantError(f"{gamma!r} is a {side} of no level-{level} block")
+    return j
 
 
 def rewrite_five(blocks, n: int):
@@ -246,7 +215,7 @@ def rewrite_five(blocks, n: int):
     leading = c[1] == 1 - c[0] and c[3] == 1 - c[2]
     trailing = c[2] == 1 - c[1] and c[4] == 1 - c[3]
     if leading == trailing:
-        raise RuntimeError(f"expected exactly one grouping of {word!r}, got {leading}/{trailing}")
+        raise InvariantError(f"expected exactly one grouping of {word!r}, got {leading}/{trailing}")
     if leading:
         return [(c[0], n + 1), (c[2], n + 1), (c[4], n)]
     return [(c[0], n), (c[1], n + 1), (c[3], n + 1)]

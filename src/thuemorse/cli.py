@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Every successful invocation prints exactly one line of JSON on stdout.
-Exit codes: 0 success, 1 domain error (e.g. a word that is not a
-factor), 2 usage error (unknown subcommand, malformed word or number).
+Every invocation that gets past argument parsing prints exactly one
+line of JSON on stdout.  Exit codes: 0 success, 1 domain error (e.g. a
+word that is not a factor, or a well-formed number out of range),
+2 usage error (unknown subcommand, malformed word or number), 3 an
+internal invariant failed (a bug; reported as {"error": ...}).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import afcore, blocks, extensions, ktheory, repwindow, trace, verify, words
-from .errors import ThueMorseError
+from .errors import InvariantError, ThueMorseError
 
 
 def _word_arg(text: str) -> str:
@@ -158,7 +160,7 @@ def run(argv) -> int:
         payload, code = _dispatch(args)
     except (ThueMorseError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}))
-        return 1
+        return 3 if isinstance(exc, InvariantError) else 1
     print(json.dumps(payload))
     return code
 

@@ -15,3 +15,7 @@ class LevelError(ThueMorseError, ValueError):
 
 class ResourceLimitError(ThueMorseError, ValueError):
     """A size argument exceeds the configured maximum."""
+
+
+class InvariantError(ThueMorseError, RuntimeError):
+    """An internal invariant failed; this signals a bug, not bad input."""

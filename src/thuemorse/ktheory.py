@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import _maximal, complete_boundaries, decompose
-from .errors import LevelError
+from .errors import InvariantError, LevelError
 from .extensions import extension_set
 from .words import factors_of_length, is_factor, require_factor
 
@@ -123,7 +123,7 @@ def _solve_unique(rows, rhs, n_unknowns):
     for c in range(n_unknowns):
         pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
-            raise RuntimeError("block-class system is underdetermined")
+            raise InvariantError("block-class system is underdetermined")
         m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][c]
         m[r] = [x / pv for x in m[r]]
@@ -135,7 +135,7 @@ def _solve_unique(rows, rhs, n_unknowns):
         r += 1
     for i in range(r, len(m)):
         if any(x != 0 for x in m[i]):
-            raise RuntimeError("block-class system is inconsistent")
+            raise InvariantError("block-class system is inconsistent")
     return [m[i][n_unknowns] for i in piv_rows]
 
 
@@ -224,7 +224,7 @@ def solve_block_class_table() -> dict:
                 va, vb = vb, 2 * va + vb
                 offset += 1
                 if offset > 64:
-                    raise RuntimeError(f"class of {c!r} does not become integral")
+                    raise InvariantError(f"class of {c!r} does not become integral")
             table[c] = (offset, int(va), int(vb))
     return table
 

@@ -35,6 +35,7 @@ def _factor_window(L: int) -> int:
 
 
 _COMPLEMENT = str.maketrans("01", "10")
+_DROP_BINARY = str.maketrans("", "", "01")
 
 # module-level prefix cache, grown by doubling; replaced atomically so
 # concurrent readers only ever see a complete string
@@ -48,7 +49,7 @@ def _check_word(w: str, allow_empty: bool = False) -> str:
         raise ValueError("empty word not allowed here")
     if len(w) > MAX_WORD_LENGTH:
         raise ResourceLimitError(f"word length {len(w)} exceeds {MAX_WORD_LENGTH}")
-    if w.strip("01"):
+    if w.translate(_DROP_BINARY):  # faster than strip("01") on long words
         raise ValueError(f"word must consist of '0'/'1' only: {w!r}")
     return w
 
@@ -140,6 +141,9 @@ def keane_product(b: str, c: str) -> str:
     """Concatenate |c| copies of b, complementing the i-th copy when c[i] = 1."""
     _check_word(b)
     _check_word(c)
+    if len(b) * len(c) > MAX_WORD_LENGTH:
+        raise ResourceLimitError(
+            f"product length {len(b)} * {len(c)} exceeds {MAX_WORD_LENGTH}")
     cb = complement(b)
     return "".join(b if ch == "0" else cb for ch in c)
 
@@ -187,6 +191,21 @@ def _is_factor(w: str) -> bool:
     return False
 
 
+def lift(s: str, phase: int):
+    """De-substitute the pairs of s that start at offset `phase` (0 or 1).
+
+    Returns the first letter of each pair s[phase + 2t] s[phase + 2t + 1],
+    or None when some pair is 00 or 11.  A dangling letter at either end
+    is not read.  Two extended slices and one translate, so no Python
+    loop runs over the letters.
+    """
+    end = phase + (len(s) - phase) // 2 * 2
+    first = s[phase:end:2]
+    if first.translate(_COMPLEMENT) != s[phase + 1:end:2]:
+        return None
+    return first
+
+
 def _parent_word(w: str, phase: int):
     """De-substitute one level assuming w starts at grid offset `phase`.
 
@@ -195,19 +214,12 @@ def _parent_word(w: str, phase: int):
     a first half and maps to itself.  Returns None when some interior
     pair is not 01 or 10.
     """
-    out = []
-    if phase == 1:
-        out.append("1" if w[0] == "0" else "0")
-    i = phase
-    while i + 1 < len(w):
-        a, b = w[i], w[i + 1]
-        if a == b:
-            return None
-        out.append(a)
-        i += 2
-    if i < len(w):
-        out.append(w[i])
-    return "".join(out)
+    body = lift(w, phase)
+    if body is None:
+        return None
+    head = complement(w[0]) if phase else ""
+    tail = w[-1] if (len(w) - phase) % 2 else ""
+    return head + body + tail
 
 
 def is_factor(w: str) -> bool:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thuemorse import blocks, words
+from thuemorse import blocks, ktheory, trace, words
 from thuemorse.errors import LevelError, NotAFactorError
 from thuemorse.verify import _brute_level_splits
 
@@ -166,6 +168,96 @@ def test_block_decomposition_validation():
         blocks.BlockDecomposition(0, "", (0, 2), "")
     with pytest.raises(ValueError):
         blocks.BlockDecomposition(2, "00", (0, 1), "")  # 00 ends no block
+
+
+def _owned(gamma, level, suffix):
+    # brute force: build both level-n blocks
+    return any((words.block(j, level).endswith(gamma) if suffix
+                else words.block(j, level).startswith(gamma)) for j in (0, 1))
+
+
+def _accepts(level, gamma0, blocks_, gamma1):
+    try:
+        blocks.BlockDecomposition(level, gamma0, blocks_, gamma1)
+    except ValueError:
+        return False
+    return True
+
+
+def test_block_decomposition_rejects_bad_shapes_up_to_level_12():
+    assert not _accepts(-1, "", (0, 1), "")
+    for n in range(13):
+        size = 1 << n
+        assert _accepts(n, "", (0, 1), "")
+        assert not _accepts(n, "", (), "")
+        assert not _accepts(n, "", (0, 2), "")
+        for j in (0, 1):
+            full = words.block(j, n)
+            # a whole block is too long to be a partial block
+            assert not _accepts(n, full, (0, 1), "")
+            assert not _accepts(n, "", (0, 1), full)
+            if n:
+                assert _accepts(n, full[1:], (0, 1), full[:-1])
+                assert not _accepts(n, "2" * (size - 1), (0, 1), "")
+                assert not _accepts(n, "", (0, 1), "a" * (size - 1))
+
+
+def test_block_decomposition_gammas_exhaustive_small_levels():
+    for n in range(1, 4):
+        for g in range(1, 1 << n):
+            for x in range(1 << g):
+                gamma = format(x, f"0{g}b")
+                assert _accepts(n, gamma, (0, 1), "") == _owned(gamma, n, True)
+                assert _accepts(n, "", (0, 1), gamma) == _owned(gamma, n, False)
+
+
+@given(st.integers(min_value=1, max_value=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_block_decomposition_gammas_up_to_level_12(n, data):
+    # a block end with a few letters flipped, judged against both blocks
+    size = 1 << n
+    g = data.draw(st.integers(min_value=1, max_value=size - 1))
+    full = words.block(data.draw(st.integers(min_value=0, max_value=1)), n)
+    flips = data.draw(st.sets(st.integers(min_value=0, max_value=g - 1), max_size=2))
+    for end, suffix in ((full[size - g:], True), (full[:g], False)):
+        gamma = "".join(words.complement(ch) if i in flips else ch
+                        for i, ch in enumerate(end))
+        parts = (gamma, (1, 0), "") if suffix else ("", (1, 0), gamma)
+        assert _accepts(n, *parts) == _owned(gamma, n, suffix)
+
+
+def _grid_split(p: int, length: int, n: int) -> tuple:
+    """The level-n split of the factor at [p, p + length), read off the grid."""
+    size = 1 << n
+    q0, q1 = -(-p // size), (p + length) // size
+    letters = tuple(words.tm_letter(q * size) for q in range(q0, q1))
+    return q0 * size - p, letters, p + length - q1 * size
+
+
+@given(st.integers(min_value=-(1 << 40), max_value=1 << 40),
+       st.integers(min_value=2, max_value=2000))
+@settings(max_examples=60, deadline=None)
+def test_decompose_matches_absolute_grid_on_far_factors(start, length):
+    w = "".join("01"[words.tm_letter(i)] for i in range(start, start + length))
+    for n in range(blocks.choose_level(w) + 1):
+        d = blocks.decompose(w, n)
+        g0, letters, g1 = _grid_split(start, length, n)
+        assert (d.gamma0, d.blocks, d.gamma1) == (w[:g0], letters, w[length - g1:])
+        if length <= 200:
+            assert _brute_level_splits(w, n) == [(d.gamma0, d.blocks, d.gamma1)]
+
+
+def test_one_lift_chain_per_word():
+    start = (1 << 39) + 4321  # a word no other test builds
+    w = "".join("01"[words.tm_letter(i)] for i in range(start, start + 3000))
+    assert len(w) <= words.MAX_CACHED_LENGTH
+    before = blocks._chain.cache_info()
+    blocks.decompose(w, blocks.choose_level(w))
+    trace.trace_range(w)
+    ktheory.reduce_class(w)
+    after = blocks._chain.cache_info()
+    # choose_level builds the chain; decompose, trace and K0 reuse it
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 3)
 
 
 def test_serialization():

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from thuemorse import cli, words
+from thuemorse import blocks, cli, words
+from thuemorse.errors import InvariantError
 
 
 def run_json(capsys, argv):
@@ -144,6 +145,17 @@ def test_boundary_values(capsys, argv, code):
     got, payload = run_json(capsys, argv)
     assert got == code
     assert ("error" in payload) == (code == 1)
+
+
+def test_invariant_failure_is_one_json_line_exit_three(capsys, monkeypatch):
+    def broken(w):
+        raise InvariantError(f"ambiguous level-1 grid for factor {w!r}")
+
+    monkeypatch.setattr(blocks, "_chain", broken)
+    code, payload = run_json(capsys, ["decompose", "0110100"])
+    assert code == 3
+    assert payload == {"error": "ambiguous level-1 grid for factor '0110100'"}
+    assert issubclass(InvariantError, RuntimeError)
 
 
 def test_usage_errors_exit_two(capsys):

@@ -118,7 +118,7 @@ def test_trace_cache_is_bounded():
     for k in range(bound + 100):
         trace.trace_range(words.tm_slice(k, k + 40 + k % 50))
     assert cache.cache_info().currsize <= bound
-    shared = blocks._maximal.cache_info()
+    shared = blocks._chain.cache_info()
     assert shared.currsize <= shared.maxsize < bound
 
 

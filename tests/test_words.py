@@ -88,6 +88,23 @@ def test_keane_length(b, c):
     assert len(words.keane_product(b, c)) == len(b) * len(c)
 
 
+def test_keane_output_cap():
+    # the cap bounds the product, not only each factor
+    assert words.MAX_WORD_LENGTH == 1024 * 1024
+    assert len(words.keane_product("0" * 1024, "0" * 1024)) == words.MAX_WORD_LENGTH
+    with pytest.raises(ResourceLimitError):
+        words.keane_product("0" * 1025, "0" * 1024)
+    with pytest.raises(ResourceLimitError):
+        words.keane_product("0" * 4096, "0" * 4096)
+
+
+@given(binary_words, st.integers(min_value=0, max_value=1))
+def test_lift_matches_pairwise_definition(s, phase):
+    pairs = [s[i:i + 2] for i in range(phase, len(s) - 1, 2)]
+    expected = None if any(p in ("00", "11") for p in pairs) else "".join(p[0] for p in pairs)
+    assert words.lift(s, phase) == expected
+
+
 def test_transform_examples():
     assert words.transform("01101", "reverse") == "10110"
     assert words.transform("0110", "complement") == "1001"
