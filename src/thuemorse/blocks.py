@@ -14,6 +14,10 @@ leaves two full blocks.  The chain of a word of at most
 `words.MAX_CACHED_LENGTH` letters is cached, so `choose_level`,
 `decompose`, `trace_range` and `reduce_class` of one word build it once;
 the cache holds 512 chains of at most |w| block letters each.
+
+The signature (n, c) of a factor is its top level n and the block word
+c of 2..6 letters that its level-n decomposition completes to, or (0, w)
+without a level-1 grid.  Trace and K0 class are functions of it alone.
 """
 
 from __future__ import annotations
@@ -152,12 +156,6 @@ def decompose(w: str, n: int) -> BlockDecomposition:
     return _split(w, chain, n)
 
 
-def _maximal(w: str):
-    """The decomposition of a factor at its largest level, or None below level 1."""
-    chain = _chain(w)
-    return _split(w, chain, len(chain)) if chain else None
-
-
 def choose_level(w: str) -> int:
     """The largest level at which w decomposes into 2..4 full blocks."""
     require_factor(w)
@@ -186,6 +184,17 @@ def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:
     if not is_factor("".join("01"[b] for b in out.blocks)):
         raise InvariantError(f"boundary completion of {d} is not a factor")
     return out
+
+
+# same bound as _chain; one entry holds at most six block letters
+@short_word_cache(maxsize=1 << 9)
+def _signature(w: str) -> tuple:
+    """(n, c): the top level of a factor and its completed block word."""
+    chain = _chain(w)
+    if not chain:
+        return 0, w
+    d = complete_boundaries(_split(w, chain, len(chain)))
+    return d.level, "".join("01"[b] for b in d.blocks)
 
 
 def _unique_owner(gamma: str, level: int, suffix: bool) -> int:

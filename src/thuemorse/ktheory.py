@@ -5,9 +5,11 @@ where (a, b) at level n stands for a copies of the generator a_n (the
 class of the three-block word 010 at level n) and b copies of b_n (the
 class of 001 at level n).  The generator relations are a_n = 2 b_{n+1}
 and b_n = a_{n+1} + b_{n+1}.  Every range projection class reduces to
-these generators through the canonical block decomposition, and the
-induced trace evaluation sends (a, b) at level n to (a + b)/(6 * 2^n),
-landing in the rationals with denominator dividing some 3 * 2^m.
+these generators through the signature (n, c) of the word from
+`blocks._signature`, the same one the trace reads: its class is that of
+the block word c at level n.  The induced trace evaluation sends (a, b)
+at level n to (a + b)/(6 * 2^n), landing in the rationals with
+denominator dividing some 3 * 2^m.
 
 Classes of pure block words of lengths four to six are pinned as the
 literal table BLOCK_CLASS_TABLE.  solve_block_class_table re-derives it
@@ -22,10 +24,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .blocks import _maximal, complete_boundaries, decompose
+from .blocks import _signature, complete_boundaries, decompose
 from .errors import InvariantError, LevelError
-from .extensions import extension_set
 from .words import factors_of_length, is_factor, require_factor
 
 
@@ -244,16 +246,21 @@ BLOCK_CLASS_TABLE = {
 }
 
 
-def _block_word_class(c: str, n: int) -> K0Element:
-    """Class of the expansion of the block word c at level n."""
+# keys are signatures: at most 21 levels times 50 block words
+@lru_cache(maxsize=1 << 11)
+def _block_word_class(n: int, c: str) -> K0Element:
+    """Class of the expansion of the block word c at level n.
+
+    Words shorter than three letters split into their right extensions.
+    """
     if len(c) == 3:
         ga, gb = _generator_pair(c)
         return normal_form(K0Element(n, ga, gb))
-    if len(c) == 2:
+    if len(c) < 3:
         total = ZERO
         for k in "01":
             if is_factor(c + k):
-                total = k0_add(total, _block_word_class(c + k, n))
+                total = k0_add(total, _block_word_class(n, c + k))
         return total
     if 4 <= len(c) <= 6:
         offset, a, b = BLOCK_CLASS_TABLE[c]
@@ -264,21 +271,11 @@ def _block_word_class(c: str, n: int) -> K0Element:
 def reduce_class(w: str) -> K0Element:
     """The K0 class of the range projection of a factor, in normal form.
 
-    Short words split through their left extensions to length 3; longer
-    words pass through the canonical block decomposition, whose boundary
+    The class of w is that of its signature (n, c): the boundary
     completion preserves the class because the completing extensions
     are unique.
     """
-    require_factor(w)
-    if len(w) <= 2:
-        total = ZERO
-        for u in extension_set(w, 3 - len(w), 0):
-            ga, gb = _generator_pair(u)
-            total = k0_add(total, K0Element(0, ga, gb))
-        return total
-    d = complete_boundaries(_maximal(w) or decompose(w, 0))
-    c = "".join("01"[bit] for bit in d.blocks)
-    return _block_word_class(c, d.level)
+    return _block_word_class(*_signature(require_factor(w)))
 
 
 def apply_i_minus_phi(comb: dict) -> dict:

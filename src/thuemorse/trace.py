@@ -8,24 +8,26 @@ the value when the complementary extension is impossible and halves it
 when both extensions occur.  Lengths 1 and 2 are fixed by additivity
 over left extensions.
 
-Peeling costs O(|w|^2), so it only evaluates words of at most six
-letters.  A longer word w goes through its canonical block
-decomposition: completed at both ends it is the level-n expansion of a
-block word c of 2..6 letters, and trace(w) = trace(c) / 2^n, which is
-O(|w|).  Every value has the form 1/(3 * 2^m) or 1/(6 * 2^m) (Dekking,
-Acta Univ. Carolinae Math. Phys. 33, 1992).  All arithmetic is exact
-rational.
+Peeling costs O(|w|^2), so it only fills the table of the 50 factors
+of at most six letters, once at import.  Every other word is read off
+its signature (n, c) from `blocks._signature`: completed at both ends,
+w is the level-n expansion of the block word c of 2..6 letters, and
+trace(w) = trace(c) / 2^n, which is O(|w|).  Every value has the form
+1/(3 * 2^m) or 1/(6 * 2^m) (Dekking, Acta Univ. Carolinae Math. Phys.
+33, 1992).  All arithmetic is exact rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .blocks import _maximal, complete_boundaries
+from .blocks import _signature
 from .errors import ResourceLimitError
-from .words import _check_word, is_factor, require_factor, short_word_cache, tm_prefix_array
+from .words import (_check_word, complement, factors_of_length, is_factor, require_factor,
+                    tm_prefix_array)
 
 MAX_FREQUENCY_WINDOW = 1 << 26
 MAX_BLOCK_TRACE_LEVEL = 30
@@ -33,10 +35,6 @@ MAX_BLOCK_TRACE_LEVEL = 30
 MAX_PEEL_LENGTH = 6
 
 _HALF = Fraction(1, 2)
-
-
-def _flip(c: str) -> str:
-    return "1" if c == "0" else "0"
 
 
 def _peel(w: str) -> Fraction:
@@ -50,23 +48,25 @@ def _peel(w: str) -> Fraction:
     value = Fraction(1, 6)
     # peel leading letters off successively longer suffixes of w
     for k in range(len(w) - 4, -1, -1):
-        if is_factor(_flip(w[k]) + w[k + 1:]):
+        if is_factor(complement(w[k]) + w[k + 1:]):
             value /= 2
     return value
 
 
-@short_word_cache(maxsize=1 << 12)
-def _trace(w: str) -> Fraction:
-    if len(w) <= MAX_PEEL_LENGTH:
-        return _peel(w)
-    d = complete_boundaries(_maximal(w))
-    return _trace("".join("01"[b] for b in d.blocks)) / 2 ** d.level
+_BLOCK_WORD_TRACE = {c: _peel(c) for L in range(1, MAX_PEEL_LENGTH + 1)
+                     for c in factors_of_length(L)}
+
+
+# keys are signatures: at most 21 levels times 50 block words
+@lru_cache(maxsize=1 << 11)
+def _block_word_trace(n: int, c: str) -> Fraction:
+    """Trace of the expansion of the block word c at level n."""
+    return _BLOCK_WORD_TRACE[c] / 2 ** n
 
 
 def trace_range(w: str) -> Fraction:
     """Trace of the range projection of w = frequency of w in the sequence."""
-    require_factor(w)
-    return _trace(w)
+    return _block_word_trace(*_signature(require_factor(w)))
 
 
 def check_range_family(words) -> tuple:
@@ -86,7 +86,8 @@ def check_range_family(words) -> tuple:
 
 def trace_family(words) -> Fraction:
     """Trace of a disjoint union of range projections."""
-    return sum((_trace(u) for u in check_range_family(words)), Fraction(0))
+    return sum((_block_word_trace(*_signature(u)) for u in check_range_family(words)),
+               Fraction(0))
 
 
 def trace_spanning(alpha: str, beta: str, words) -> Fraction:
@@ -100,7 +101,8 @@ def trace_spanning(alpha: str, beta: str, words) -> Fraction:
     members = check_range_family(words)
     if alpha != beta:
         return Fraction(0)
-    return sum((_trace(u) for u in members if u.endswith(alpha)), Fraction(0))
+    return sum((_block_word_trace(*_signature(u)) for u in members if u.endswith(alpha)),
+               Fraction(0))
 
 
 def block_trace(i: int, j: int, n: int) -> Fraction:

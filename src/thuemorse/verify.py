@@ -163,15 +163,11 @@ def check_combinatorics(quick: bool) -> dict:
                     if extensions.classify_extension_count(w) == 4}
         expected = set()
         if L & (L - 1) == 0:
-            # two-block family at length 2^(m+1)
+            # two-block family at length 2^(m+1): block(0, m + 1) and its
+            # complement, which are also the level-(m - 1) four-block words
             m = L.bit_length() - 2
             b0, b1 = words.block(0, m), words.block(1, m)
-            expected |= {b0 + b1, b1 + b0}
-        if L % 4 == 0 and (L // 4) & (L // 4 - 1) == 0:
-            # four-block family at length 4 * 2^m
-            m = (L // 4).bit_length() - 1
-            b0, b1 = words.block(0, m), words.block(1, m)
-            expected |= {b0 + b1 + b1 + b0, b1 + b0 + b0 + b1}
+            expected = {b0 + b1, b1 + b0}
         if achieved != expected:
             return _result("combinatorics", False,
                            f"count-4 set at length {L}: {sorted(achieved)}")

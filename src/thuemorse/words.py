@@ -162,20 +162,13 @@ def transform(w: str, kind: str) -> str:
     raise ValueError(f"kind must be 'reverse' or 'complement', got {kind!r}")
 
 
-# All factors of length <= 8, collected from a window far wider than the
-# recurrence bound at these lengths (validated against a 2**16 scan in the
-# tests).
+# All factors of length <= 8 (validated against a 2**16 scan in the tests).
 _BASE_LENGTH = 8
 
 
 @lru_cache(maxsize=1)
 def _base_factors() -> frozenset:
-    window = tm_prefix(1024)
-    found = set()
-    for L in range(1, _BASE_LENGTH + 1):
-        for i in range(len(window) - L + 1):
-            found.add(window[i:i + L])
-    return frozenset(found)
+    return frozenset(w for L in range(1, _BASE_LENGTH + 1) for w in factors_of_length(L))
 
 
 # 3.6 times the 2.2k words (queries and their de-substituted parents)

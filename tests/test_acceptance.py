@@ -1,189 +1,44 @@
 """Acceptance criteria, one test per criterion at full scale.
 
-Each test prints a PASS line (visible with pytest -s or in captured
-output on failure); all tolerances are exact except the two 1/100
-frequency-gap bounds, which are part of the criteria themselves.
+Each criterion lives in one `verify` check.  Its test runs that check in
+full mode, requires it to pass, and requires its report entry to equal
+the pinned one in data/verify_full.json (the `verify --full` stdout
+line).  Each test prints a PASS line (visible with pytest -s or in
+captured output on failure).
 """
 
+import json
 import time
-from fractions import Fraction
+from pathlib import Path
 
-from thuemorse import (
-    afcore,
-    blocks,
-    extensions,
-    ktheory,
-    repwindow,
-    trace,
-    verify,
-    words,
-)
-from thuemorse.errors import LevelError
-from thuemorse.ktheory import K0Element
+from thuemorse import verify
+
+_REPORT = json.loads((Path(__file__).parent / "data" / "verify_full.json").read_text())
+PINNED = {check["name"]: check for check in _REPORT["checks"]}
 
 
-def _report(number, name, started):
-    print(f"ACCEPTANCE {number} ({name}): PASS [{time.time() - started:.1f}s]")
+def _criterion(number, name, check):
+    def test():
+        started = time.time()
+        result = check(quick=False)
+        assert result["ok"], result["detail"]
+        assert result == PINNED[result["name"]]
+        print(f"ACCEPTANCE {number} ({name}): PASS [{time.time() - started:.1f}s]")
+    return test
 
 
-def test_criterion_1_exact_trace_values():
-    started = time.time()
-    assert trace.trace_range("00") == Fraction(1, 6)
-    assert trace.trace_range("11") == Fraction(1, 6)
-    assert trace.trace_range("01") == Fraction(1, 3)
-    assert trace.trace_range("10") == Fraction(1, 3)
-    for w in words.factors_of_length(3):
-        assert trace.trace_range(w) == Fraction(1, 6)
-    assert trace.trace_range(words.tm_slice(10, 32)) == Fraction(1, 48)
-    _report(1, "exact trace values", started)
-
-
-def test_criterion_2_block_traces():
-    started = time.time()
-    for n in range(9):
-        for i in (0, 1):
-            for j in (0, 1):
-                w = words.block(i, n) + words.block(j, n)
-                expected = Fraction(1, 6 * 2 ** n) if i == j else Fraction(1, 3 * 2 ** n)
-                assert trace.block_trace(i, j, n) == expected
-                assert trace.trace_range(w) == expected
-    _report(2, "closed-form block traces", started)
-
-
-def test_criterion_3_trace_state_axioms():
-    started = time.time()
-    for L in range(1, 17):
-        total = Fraction(0)
-        for w in words.factors_of_length(L):
-            v = trace.trace_range(w)
-            total += v
-            assert v > 0
-            assert v == trace.trace_range(w[::-1])
-            assert v == trace.trace_range(words.complement(w))
-            right = sum(trace.trace_range(w + a) for a in "01"
-                        if words.is_factor(w + a))
-            left = sum(trace.trace_range(a + w) for a in "01"
-                       if words.is_factor(a + w))
-            assert v == right == left
-        assert total == 1
-    _report(3, "trace-state axioms", started)
-
-
-def test_criterion_4_uniqueness_certificate():
-    started = time.time()
-    sixth = Fraction(1, 6)
-    prev = None
-    for n in range(1, 31):
-        lo, hi = trace.uniqueness_interval(n)
-        assert lo < sixth < hi
-        assert hi - lo <= Fraction(1, 2 ** n)
-        if prev is not None:
-            assert prev[0] <= lo and hi <= prev[1]
-        prev = (lo, hi)
-    for n in range(31):
-        assert trace.matrix_iterate(sixth, n) == (
-            Fraction(1, 6 * 2 ** n), Fraction(1, 3 * 2 ** n))
-    _report(4, "uniqueness certificate", started)
-
-
-def test_criterion_5_ergodic_oracle():
-    started = time.time()
-    window = 1 << 22
-    for L in range(1, 9):
-        for w in words.factors_of_length(L):
-            gap = abs(trace.trace_range(w) - trace.frequency(w, window))
-            assert gap <= Fraction(1, 100), (w, gap)
-    _report(5, "ergodic oracle", started)
-
-
-def test_criterion_6_combinatorics():
-    started = time.time()
-
-    # extension-count classification with the exact count-4 families
-    for L in range(2, 15):
-        achieved = set()
-        for w in words.factors_of_length(L):
-            count = extensions.classify_extension_count(w)
-            assert count in (1, 2, 4), (w, count)
-            if count == 4:
-                achieved.add(w)
-        expected = set()
-        if L & (L - 1) == 0 and L >= 2:
-            m = L.bit_length() - 2
-            expected |= {words.block(0, m) + words.block(1, m),
-                         words.block(1, m) + words.block(0, m)}
-        assert achieved == expected, (L, sorted(achieved))
-
-    # decomposition existence with 2..4 blocks and per-level uniqueness
-    for L in range(2, 49):
-        for w in words.factors_of_length(L):
-            n_star = blocks.choose_level(w)
-            d_star = blocks.decompose(w, n_star)
-            assert 2 <= len(d_star.blocks) <= 4
-            for n in range(n_star + 1):
-                try:
-                    d = blocks.decompose(w, n)
-                except LevelError:
-                    continue
-                assert blocks.recompose(d) == w
-                splits = verify._brute_level_splits(w, n)
-                assert splits == [(d.gamma0, d.blocks, d.gamma1)], (w, n)
-
-    # follower/preceder blocks are forced next to two adjacent full blocks
-    for n in (1, 2, 3):
-        size = 1 << n
-        full = {words.block(0, n), words.block(1, n)}
-        for w in words.factors_of_length(3 * size):
-            if w[:size] in full and w[size:2 * size] in full:
-                assert w[2 * size:] in full
-            if w[size:2 * size] in full and w[2 * size:] in full:
-                assert w[:size] in full
-
-    # overlap-freeness
-    for L in range(1, 9):
-        for beta in words.factors_of_length(L):
-            for p in range(1, L + 1):
-                assert not words.is_factor(beta + beta + beta[:p])
-
-    _report(6, "combinatorics", started)
-
-
-def test_criterion_7_k_theory_soundness():
-    started = time.time()
-    for L in range(1, 13):
-        for w in words.factors_of_length(L):
-            assert ktheory.evaluate(ktheory.reduce_class(w)) == trace.trace_range(w)
-    for n in range(11):
-        assert ktheory.k0_equal(K0Element(n, 1, 0), K0Element(n + 1, 0, 2))
-        assert ktheory.k0_equal(K0Element(n, 0, 1), K0Element(n + 1, 1, 1))
-    unit = ktheory.k0_add(ktheory.reduce_class("0"), ktheory.reduce_class("1"))
-    assert unit == K0Element(0, 2, 4)
-    kernel = K0Element(0, 1, -1)
-    assert ktheory.evaluate(kernel) == 0
-    assert not ktheory.is_positive(kernel)
-    assert not ktheory.is_positive(ktheory.k0_neg(kernel))
-    _report(7, "K-theory soundness", started)
-
-
-def test_criterion_8_af_core():
-    started = time.time()
-    assert [afcore.af_level(k).dimension for k in (1, 2, 3)] == [4, 10, 16]
-    for k in (1, 2, 3):
-        brute = len(words.factors_of_length(2 * k))
-        assert afcore.af_level(k).dimension == brute
-    for k in range(1, 9):
-        m = afcore.inclusion_matrix(k)
-        assert afcore.push_trace_down(m, afcore.trace_vector(k + 1)) == \
-            afcore.trace_vector(k)
-    _report(8, "AF core", started)
-
-
-def test_criterion_9_representation_window():
-    started = time.time()
-    res = repwindow.axiom_residuals(1 << 14, 8)
-    assert res == {"axiom_i": 0, "axiom_ii": 0, "axiom_iii": 0, "axiom_iv": 0}
-    for L in range(1, 7):
-        for w in words.factors_of_length(L):
-            gap = abs(repwindow.empirical_trace(w, 1 << 16) - trace.trace_range(w))
-            assert gap <= Fraction(1, 100), (w, gap)
-    _report(9, "representation window", started)
+test_criterion_1_exact_trace_values = _criterion(
+    1, "exact trace values", verify.check_trace_values)
+test_criterion_2_block_traces = _criterion(
+    2, "closed-form block traces", verify.check_block_traces)
+test_criterion_3_trace_state_axioms = _criterion(
+    3, "trace-state axioms", verify.check_trace_axioms)
+test_criterion_4_uniqueness_certificate = _criterion(
+    4, "uniqueness certificate", verify.check_uniqueness_certificate)
+test_criterion_5_ergodic_oracle = _criterion(5, "ergodic oracle", verify.check_ergodic_oracle)
+test_criterion_6_combinatorics = _criterion(6, "combinatorics", verify.check_combinatorics)
+test_criterion_7_k_theory_soundness = _criterion(
+    7, "K-theory soundness", verify.check_k_theory)
+test_criterion_8_af_core = _criterion(8, "AF core", verify.check_af_core)
+test_criterion_9_representation_window = _criterion(
+    9, "representation window", verify.check_representation)

@@ -245,19 +245,26 @@ def test_decompose_matches_absolute_grid_on_far_factors(start, length):
         assert (d.gamma0, d.blocks, d.gamma1) == (w[:g0], letters, w[length - g1:])
         if length <= 200:
             assert _brute_level_splits(w, n) == [(d.gamma0, d.blocks, d.gamma1)]
+    # the signature: every top-level block that w meets, read off the grid
+    size = 1 << n
+    completed = "".join("01"[words.tm_letter(q * size)]
+                        for q in range(start // size, -(-(start + length) // size)))
+    assert blocks._signature(w) == (n, completed)
 
 
 def test_one_lift_chain_per_word():
     start = (1 << 39) + 4321  # a word no other test builds
     w = "".join("01"[words.tm_letter(i)] for i in range(start, start + 3000))
     assert len(w) <= words.MAX_CACHED_LENGTH
-    before = blocks._chain.cache_info()
+    before = blocks._chain.cache_info(), blocks._signature.cache_info()
     blocks.decompose(w, blocks.choose_level(w))
     trace.trace_range(w)
     ktheory.reduce_class(w)
-    after = blocks._chain.cache_info()
-    # choose_level builds the chain; decompose, trace and K0 reuse it
-    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 3)
+    after = blocks._chain.cache_info(), blocks._signature.cache_info()
+    # choose_level builds the chain; decompose and the signature reuse it,
+    # and trace and K0 share one signature: one completion per word
+    assert [(a.misses - b.misses, a.hits - b.hits) for a, b in zip(after, before)] == [
+        (1, 2), (1, 1)]
 
 
 def test_serialization():

@@ -104,7 +104,10 @@ def test_reduce_examples():
     assert ktheory.reduce_class("101") == K0Element(0, 1, 0)
     assert ktheory.reduce_class("001") == K0Element(0, 0, 1)
     assert ktheory.reduce_class("0110") == K0Element(0, 0, 1)
-    assert ktheory.reduce_class("0") == K0Element(0, 1, 2)
+    # words of at most two letters split into their right extensions
+    assert ktheory.reduce_class("0") == ktheory.reduce_class("1") == K0Element(0, 1, 2)
+    assert ktheory.reduce_class("00") == ktheory.reduce_class("11") == K0Element(0, 0, 1)
+    assert ktheory.reduce_class("01") == ktheory.reduce_class("10") == K0Element(0, 1, 1)
     unit = ktheory.k0_add(ktheory.reduce_class("0"), ktheory.reduce_class("1"))
     assert unit == K0Element(0, 2, 4)
 

@@ -113,13 +113,17 @@ def test_block_route_matches_peeling_on_far_long_factors(start, length):
 
 
 def test_trace_cache_is_bounded():
-    cache = trace._trace
-    bound = cache.cache_info().maxsize
-    for k in range(bound + 100):
-        trace.trace_range(words.tm_slice(k, k + 40 + k % 50))
-    assert cache.cache_info().currsize <= bound
-    shared = blocks._chain.cache_info()
-    assert shared.currsize <= shared.maxsize < bound
+    # more distinct words than either (c, n) memo may hold, and every level
+    # up to 18 at several grid phases
+    sweep = [(k, 40 + k % 50) for k in range(2 * 50 * 21)]
+    sweep += [(k << max(n - 6, 0), 3 << n) for n in range(19) for k in (0, 5, 21, 42)]
+    for lo, length in sweep:
+        w = words.tm_slice(lo, lo + length)
+        assert trace.trace_range(w) == ktheory.evaluate(ktheory.reduce_class(w))
+    signature = blocks._signature.cache_info()
+    assert signature.currsize <= signature.maxsize == blocks._chain.cache_info().maxsize
+    for memo in (trace._block_word_trace, ktheory._block_word_class):
+        assert 19 <= memo.cache_info().currsize <= 50 * 21
 
 
 def test_additivity_both_sides():

@@ -260,7 +260,5 @@ def test_occurrences_two_sided(oracle_prefix):
 
 
 def test_base_factor_window_is_safe(oracle_factors):
-    # the membership base case collects all short factors from 1024 letters
-    for L in range(1, 9):
-        short = {w for w in words.factors_of_length(L)}
-        assert short == oracle_factors(L)
+    # the membership base case: every factor of at most 8 letters
+    assert words._base_factors() == {w for L in range(1, 9) for w in oracle_factors(L)}
