@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ResourceLimitError
 from .trace import trace_range
@@ -55,6 +56,7 @@ def _check_level(k: int) -> None:
         raise ResourceLimitError(f"level must lie in [1, {MAX_LEVEL}]")
 
 
+@lru_cache(maxsize=MAX_LEVEL)
 def af_level(k: int) -> AfLevel:
     """Level k of the tower: basis = factors of length 2k, sorted."""
     _check_level(k)

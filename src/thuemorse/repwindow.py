@@ -2,25 +2,36 @@
 
 The two generator operators act on basis vectors indexed by integers in
 [-W, W]: T_i sends v_n to v_{n-1} exactly when the sequence letter at
-n-1 is i, and to zero when the shift would leave the window.  All
-matrices are integer 0/1, so the defining relations of the represented
-algebra hold with residual exactly zero on the interior band where the
-truncation is invisible.
+n-1 is i, and to zero when the shift would leave the window.  Every
+operator in the defining relations is a partial shift with a 0/1 mask,
+so `axiom_residuals` checks the relations as integer identities of
+plain vectors: the letter masks [x[n-1] = a] and the range diagonals,
+which are read off the letter string x[-W..W-1].  The relations hold
+with residual exactly zero on the interior band where the truncation
+is invisible.  The sparse matrices of `build_generators`,
+`word_operator` and `range_projection` are built only when asked for,
+and only they load scipy.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ResourceLimitError
-from .words import factors_of_length, is_factor, require_factor, tm_slice
+from .words import _check_word, factors_of_length, require_factor, tm_slice
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 MAX_HALF_WIDTH = 1 << 20
+# Largest (factor count) x (2W + 1) that `axiom_residuals` holds as range
+# diagonals: 2.8 times the 92 x 32 769 of `verify --full`, 32 MB of int32.
+MAX_RESIDUAL_CELLS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -48,28 +59,21 @@ def _check_width(W: int):
         raise ResourceLimitError(f"half-width {W} exceeds {MAX_HALF_WIDTH}")
 
 
+def _check_window_word(alpha: str, W: int, allow_empty: bool = False):
+    _check_word(alpha, allow_empty)
+    if len(alpha) > W // 4:
+        raise ValueError("word too long for this window")
+
+
 def build_generators(W: int):
     """The pair (T0, T1) of truncated shift generators."""
+    from scipy import sparse
+
     _check_width(W)
-    letters = _letters(W)
-    size = 2 * W + 1
-    cols = np.arange(1, size)
-    rows = cols - 1
-    out = []
-    for i in (0, 1):
-        keep = letters[rows] == i
-        m = sparse.csr_matrix(
-            (np.ones(int(keep.sum()), dtype=np.int64), (rows[keep], cols[keep])),
-            shape=(size, size),
-        )
-        out.append(WindowOperator(W, m))
-    return out[0], out[1]
-
-
-@lru_cache(maxsize=8)
-def _gen_matrices(W: int):
-    t0, t1 = build_generators(W)
-    return t0.matrix, t1.matrix
+    letters = _letters(W)[:-1]
+    # T_i is the superdiagonal [x[n-1] = i]; CSR keeps no explicit zeros
+    return tuple(WindowOperator(W, sparse.csr_matrix(sparse.diags(
+        letters == i, 1, dtype=np.int64))) for i in (0, 1))
 
 
 def word_operator(alpha: str, W: int) -> WindowOperator:
@@ -77,11 +81,10 @@ def word_operator(alpha: str, W: int) -> WindowOperator:
 
     Words that are not factors give the zero operator.
     """
-    if not alpha or alpha.strip("01"):
-        raise ValueError("word must be a nonempty '0'/'1' string")
-    if len(alpha) > W // 4:
-        raise ValueError("word too long for this window")
-    gens = _gen_matrices(W)
+    from scipy import sparse
+
+    _check_window_word(alpha, W)
+    gens = [t.matrix for t in build_generators(W)]
     m = gens[int(alpha[0])]
     for ch in alpha[1:]:
         m = m @ gens[int(ch)]
@@ -95,37 +98,20 @@ def range_projection(alpha: str, W: int) -> WindowOperator:
     products): the diagonal entry at n is 1 iff n - |alpha| >= -W and
     the letters at n - |alpha| .. n - 1 spell alpha.
     """
+    from scipy import sparse
+
     _check_width(W)
-    if alpha:
-        if alpha.strip("01"):
-            raise ValueError("word must consist of '0'/'1' only")
-        if len(alpha) > W // 4:
-            raise ValueError("word too long for this window")
+    _check_window_word(alpha, W, allow_empty=True)
     diag = _range_diagonal(alpha, W)
     return WindowOperator(W, sparse.csr_matrix(sparse.diags(diag, dtype=np.int64)))
 
 
 def _range_diagonal(alpha: str, W: int) -> np.ndarray:
-    letters = _letters(W)
-    size = 2 * W + 1
-    L = len(alpha)
-    if L == 0:
-        return np.ones(size, dtype=np.int64)
-    hit = np.zeros(size, dtype=bool)
-    window = np.ones(size - L, dtype=bool)
-    for k, ch in enumerate(alpha):
-        window &= letters[k:size - L + k] == int(ch)
-    hit[L:] = window
-    return hit.astype(np.int64)
-
-
-def _interior(m: sparse.csr_matrix, pad: int) -> sparse.csr_matrix:
-    return m[pad:m.shape[0] - pad, pad:m.shape[1] - pad]
-
-
-def _max_abs(m) -> int:
-    m = sparse.csr_matrix(m)
-    return int(abs(m).max()) if m.nnz else 0
+    # Thue-Morse is overlap-free, so no two occurrences of a word overlap
+    # and finditer's non-overlapping matches are all of them.
+    diag = np.zeros(2 * W + 1, dtype=np.int32)
+    diag[[m.end() for m in re.finditer(alpha, tm_slice(-W, W))]] = 1
+    return diag
 
 
 def axiom_residuals(W: int, maxlen: int) -> dict:
@@ -140,67 +126,49 @@ def axiom_residuals(W: int, maxlen: int) -> dict:
     _check_width(W)
     if maxlen < 1 or maxlen > W // 8:
         raise ValueError("maxlen must lie in [1, W/8]")
-    gens = _gen_matrices(W)
-    pad = maxlen
-
-    words = []
-    for L in range(1, maxlen + 1):
-        words.extend(factors_of_length(L))
-    diag = {w: _range_diagonal(w, W) for w in words}
-
+    words = [w for L in range(1, maxlen + 1) for w in factors_of_length(L)]
     size = 2 * W + 1
+    if len(words) * size > MAX_RESIDUAL_CELLS:
+        raise ResourceLimitError(
+            f"{len(words)} range diagonals of {size} entries exceed {MAX_RESIDUAL_CELLS}")
+    D = np.zeros((len(words), size), dtype=np.int32)
+    for row, w in zip(D, words):
+        row[:] = _range_diagonal(w, W)
+    diag = dict(zip(words, D))
+    zero = np.zeros(size, dtype=np.int32)
+    # mask[a][n] = [x[n-1] = a], so T_a is the superdiagonal mask[a][1:];
+    # below, entry (n-1, n) of a product sits at index n-1 of the vectors
+    # sliced [1:] (read at n) and [:-1] (read at n-1)
+    mask = np.zeros((2, size), dtype=np.int32)
+    letters = _letters(W)[:-1]
+    mask[0, 1:], mask[1, 1:] = letters == 0, letters == 1
+    pad = maxlen
     inner = slice(pad, size - pad)
-    res_i = 0
-    for u in words:
-        du = diag[u]
-        for v in words:
-            if len(v) < len(u):
-                continue
-            dv = diag[v]
-            # r(u) meets r(v) iff both words end at a common position,
-            # i.e. u is the final subword of v
-            if u == v:
-                expect = du
-                expect_union = du
-            elif v.endswith(u):
-                expect = dv
-                expect_union = du
-            else:
-                expect = np.zeros_like(du)
-                expect_union = du + dv
-            inter = du * dv
-            res_i = max(res_i, int(np.abs(inter - expect)[inner].max()))
-            union = du + dv - inter
-            res_i = max(res_i, int(np.abs(union - expect_union)[inner].max()))
 
-    res_ii = 0
-    res_iv = 0
-    for w in words:
-        if len(w) >= maxlen:
+    # (i) G[u, v] = |r(u) & r(v)|: disjoint unless u is a suffix of v,
+    # and then r(v) lies inside r(u)
+    interior = D[:, inner]
+    G = interior @ interior.T
+    res_i = int(any(G[i, j] != (G[j, j] if v.endswith(u) else 0)
+                    for i, u in enumerate(words) for j, v in enumerate(words)
+                    if len(v) >= len(u)))
+
+    # (ii) p_A s_a - s_a p_Aa and (iv) p_A - sum_a s_a p_Aa s_a*
+    res_ii = res_iv = 0
+    for A in words:
+        if len(A) >= maxlen:
             continue
-        p_a = sparse.diags(diag[w], dtype=np.int64)
-        decomp = sparse.csr_matrix((size, size), dtype=np.int64)
-        for a in "01":
-            ext = w + a
-            s_a = gens[int(a)]
-            p_ext = sparse.diags(
-                diag[ext] if is_factor(ext) else np.zeros(size, dtype=np.int64),
-                dtype=np.int64,
-            )
-            res_ii = max(res_ii, _max_abs(_interior(
-                sparse.csr_matrix(p_a @ s_a - s_a @ p_ext), pad)))
-            decomp = decomp + s_a @ p_ext @ s_a.T
-        res_iv = max(res_iv, _max_abs(_interior(sparse.csr_matrix(p_a - decomp), pad)))
+        ends = [mask[a] * diag.get(A + "01"[a], zero) for a in (0, 1)]
+        for a in (0, 1):
+            res_ii = max(res_ii, int(np.abs(
+                mask[a, 1:] * diag[A][:-1] - ends[a][1:])[pad:size - pad - 1].max()))
+        res_iv = max(res_iv, int(np.abs(
+            diag[A][:-1] - (ends[0] + ends[1])[1:])[inner].max()))
 
-    res_iii = 0
-    for a in (0, 1):
-        lhs = gens[a].T @ gens[a]
-        rhs = sparse.diags(diag["01"[a]], dtype=np.int64)
-        res_iii = max(res_iii, _max_abs(_interior(sparse.csr_matrix(lhs - rhs), pad)))
-    res_iii = max(res_iii, _max_abs(_interior(
-        sparse.csr_matrix(gens[0].T @ gens[1]), pad)))
-    res_iii = max(res_iii, _max_abs(_interior(
-        sparse.csr_matrix(gens[1].T @ gens[0]), pad)))
+    # (iii) s_a* s_a = p_a and s_0* s_1 = s_1* s_0 = 0
+    res_iii = int(max(np.abs(mask[0] - diag["0"])[inner].max(),
+                      np.abs(mask[1] - diag["1"])[inner].max(),
+                      (mask[0] * mask[1])[inner].max()))
 
     return {
         "axiom_i": res_i,
@@ -211,12 +179,13 @@ def axiom_residuals(W: int, maxlen: int) -> dict:
 
 
 def empirical_trace(alpha: str, W: int) -> Fraction:
-    """Normalized diagonal count of the range projection of alpha."""
+    """Normalized diagonal count of the range projection of alpha.
+
+    The count of alpha in the letters x[-W..W-1]; overlap-freeness makes
+    str.count's non-overlapping count the full one.
+    """
     _check_width(W)
-    if len(alpha) > W // 4:
-        raise ValueError("word too long for this window")
+    _check_window_word(alpha, W, allow_empty=True)
     if alpha:
         require_factor(alpha)
-    diag = _range_diagonal(alpha, W)
-    interior = 2 * W + 1 - len(alpha)
-    return Fraction(int(diag.sum()), interior)
+    return Fraction(tm_slice(-W, W).count(alpha), 2 * W + 1 - len(alpha))

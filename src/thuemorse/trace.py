@@ -14,7 +14,9 @@ its signature (n, c) from `blocks._signature`: completed at both ends,
 w is the level-n expansion of the block word c of 2..6 letters, and
 trace(w) = trace(c) / 2^n, which is O(|w|).  Every value has the form
 1/(3 * 2^m) or 1/(6 * 2^m) (Dekking, Acta Univ. Carolinae Math. Phys.
-33, 1992).  All arithmetic is exact rational.
+33, 1992).  All arithmetic is exact rational.  The empirical oracle
+`frequency` counts occurrences in a prefix with `str.count`, exact
+because the sequence is overlap-free.
 """
 
 from __future__ import annotations
@@ -22,12 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .blocks import _signature
 from .errors import ResourceLimitError
-from .words import (_check_word, complement, factors_of_length, is_factor, require_factor,
-                    tm_prefix_array)
+from .words import _check_word, complement, factors_of_length, is_factor, require_factor, tm_prefix
 
 MAX_FREQUENCY_WINDOW = 1 << 26
 MAX_BLOCK_TRACE_LEVEL = 30
@@ -162,16 +161,14 @@ def frequency(w: str, N: int) -> Fraction:
     """Occurrence count of w among the first N letters over window count.
 
     An exact rational; by unique ergodicity it converges to
-    trace_range(w) as N grows.
+    trace_range(w) as N grows.  Two occurrences of w at distance
+    p < |w| would make a factor of length |w| + p >= 2p + 1 with period
+    p, an overlap, which Thue-Morse does not contain; so str.count's
+    non-overlapping count is the full occurrence count.
     """
     require_factor(w)
     if N > MAX_FREQUENCY_WINDOW:
         raise ResourceLimitError(f"window {N} exceeds {MAX_FREQUENCY_WINDOW}")
-    L = len(w)
-    if N < L:
+    if N < len(w):
         raise ValueError("window must be at least as long as the word")
-    arr = tm_prefix_array(N)
-    hits = np.ones(N - L + 1, dtype=bool)
-    for k, ch in enumerate(w):
-        hits &= arr[k:N - L + 1 + k] == int(ch)
-    return Fraction(int(hits.sum()), N - L + 1)
+    return Fraction(tm_prefix(N).count(w), N - len(w) + 1)

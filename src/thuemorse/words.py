@@ -7,13 +7,17 @@ Factor membership is decided exactly by de-substitution: a long word
 occurs in the sequence iff, for one of the two possible alignments of
 the substitution grid, its letter pairs de-substitute to a shorter
 factor.
+
+The sequence is held once, as the letter string that `tm_prefix` grows
+by doubling; every count and window in the package is read off it.
+Thue-Morse is overlap-free (Thue 1912), so no two occurrences of a word
+overlap, and `str.count` on that string is the exact occurrence count.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache, wraps
-
-import numpy as np
 
 from .errors import NotAFactorError, ResourceLimitError
 
@@ -111,16 +115,6 @@ def tm_slice(lo: int, hi: int) -> str:
     if hi <= 0:
         return neg
     return neg + tm_prefix(hi)
-
-
-def tm_prefix_array(n: int) -> np.ndarray:
-    """The prefix of length n as a uint8 array (for bulk scanning)."""
-    if n > MAX_SLICE:
-        raise ResourceLimitError(f"prefix length {n} exceeds {MAX_SLICE}")
-    arr = np.zeros(1, dtype=np.uint8)
-    while len(arr) < n:
-        arr = np.concatenate([arr, 1 - arr])
-    return arr[:n]
 
 
 def block(i: int, n: int) -> str:
@@ -243,13 +237,5 @@ def occurrences(w: str, lo: int, hi: int) -> list:
     _check_word(w)
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi})")
-    s = tm_slice(lo, hi)
-    out = []
-    start = 0
-    while True:
-        j = s.find(w, start)
-        if j < 0:
-            break
-        out.append(j + lo)
-        start = j + 1
-    return out
+    # overlap-free: finditer's non-overlapping matches are all occurrences
+    return [m.start() + lo for m in re.finditer(w, tm_slice(lo, hi))]

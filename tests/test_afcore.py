@@ -15,6 +15,15 @@ def test_dimensions():
         assert level.dimension == len(words.factors_of_length(2 * k))
 
 
+def test_af_level_is_cached():
+    afcore.af_level.cache_clear()
+    first = afcore.af_level(5)
+    hits = afcore.af_level.cache_info().hits
+    assert afcore.af_level(5) is first
+    assert afcore.af_level.cache_info().hits == hits + 1
+    assert first == afcore.AfLevel(5, tuple(words.factors_of_length(10)))
+
+
 def test_level_validation():
     with pytest.raises(ResourceLimitError):
         afcore.af_level(0)

@@ -140,6 +140,15 @@ OVER_CAP = "0" * (words.MAX_WORD_LENGTH + 1)
     (["factor", OVER_CAP], 1),
     (["trace", OVER_CAP], 1),
     (["k0-reduce", OVER_CAP], 1),
+    (["slice", "5", "3"], 1),
+    (["freq", "0110", "--window", "3"], 1),
+    (["freq", "0110", "--window", str(1 << 26)], 0),
+    (["freq", "0110", "--window", str((1 << 26) + 1)], 1),
+    (["k0-eval", "--a", "1", "--b", "1", "--level", "-1"], 1),
+    (["rep-check", "--window", "0"], 1),
+    (["rep-check", "--maxlen", "0"], 1),
+    # 92 factors of <= 8 letters x 91 181 entries: just over MAX_RESIDUAL_CELLS
+    (["rep-check", "--window", "45590", "--maxlen", "8"], 1),
 ])
 def test_boundary_values(capsys, argv, code):
     got, payload = run_json(capsys, argv)
@@ -173,9 +182,27 @@ def test_outputs_deterministic(capsys):
     assert first == second
 
 
+def test_queries_load_neither_numpy_nor_scipy():
+    probe = ("import sys, thuemorse; thuemorse.trace_range('0110'); "
+             "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["[]"]
+    import thuemorse
+    star = {}
+    exec("from thuemorse import *", star)
+    assert set(star) >= set(thuemorse.__all__)
+    assert star["axiom_residuals"] is thuemorse.repwindow.axiom_residuals
+    assert star["run_suite"] is thuemorse.verify.run_suite
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
-        [sys.executable, "-m", "thuemorse.cli", "trace", "0110"],
+        [sys.executable, "-X", "importtime", "-m", "thuemorse.cli", "trace", "0110"],
         capture_output=True, text=True, check=True,
     )
     assert json.loads(proc.stdout) == {"value": "1/6"}
+    # the query path imports neither numpy nor scipy
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "thuemorse.trace" in imported
+    assert not {m for m in imported if m.split(".")[0] in ("numpy", "scipy")}

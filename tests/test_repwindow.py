@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -110,3 +111,61 @@ def test_validation():
     from thuemorse.errors import ResourceLimitError
     with pytest.raises(ResourceLimitError):
         repwindow.build_generators((1 << 20) + 1)
+    for op in (repwindow.word_operator, repwindow.range_projection):
+        with pytest.raises(TypeError):
+            op(1, W)
+        with pytest.raises(ValueError):
+            op("012", W)
+
+
+def _sparse_residuals(W, maxlen):
+    """The relations as sparse products of the public operators, word pair
+    by word pair: an independent route to `axiom_residuals`."""
+    size = 2 * W + 1
+    t = [g.matrix for g in repwindow.build_generators(W)]
+    factors = [w for L in range(1, maxlen + 1) for w in words.factors_of_length(L)]
+    p = {w: repwindow.range_projection(w, W).matrix for w in factors}
+    zero = sparse.csr_matrix((size, size), dtype=np.int64)
+
+    def worst(m):
+        m = sparse.csr_matrix(m)[maxlen:size - maxlen, maxlen:size - maxlen]
+        return int(abs(m).max()) if m.nnz else 0
+
+    res_i = 0
+    for u, v in itertools.product(factors, repeat=2):
+        if len(v) >= len(u):
+            inter, nested = p[u] @ p[v], v.endswith(u)
+            res_i = max(res_i, worst(inter - (p[v] if nested else zero)),
+                        worst(p[u] + p[v] - inter - (p[u] if nested else p[u] + p[v])))
+    res_ii = res_iv = 0
+    for A in (A for A in factors if len(A) < maxlen):
+        decomp = zero
+        for a in "01":
+            s_a = repwindow.word_operator(a, W).matrix
+            p_ext = p.get(A + a, zero)
+            res_ii = max(res_ii, worst(p[A] @ s_a - s_a @ p_ext))
+            decomp = decomp + s_a @ p_ext @ s_a.T
+        res_iv = max(res_iv, worst(p[A] - decomp))
+    res_iii = max(worst(t[0].T @ t[0] - p["0"]), worst(t[1].T @ t[1] - p["1"]),
+                  worst(t[0].T @ t[1]), worst(t[1].T @ t[0]))
+    return {"axiom_i": res_i, "axiom_ii": res_ii, "axiom_iii": res_iii, "axiom_iv": res_iv}
+
+
+@pytest.mark.parametrize("fault, flips", [
+    (None, None),
+    ("_range_diagonal", lambda alpha, width: alpha == "01"),
+    ("_letters", lambda width: True),
+], ids=["none", "diagonal-entry", "letter"])
+def test_vector_residuals_match_sparse_products(monkeypatch, fault, flips):
+    if fault:
+        original = getattr(repwindow, fault)
+
+        def flipped(*args):
+            out = original(*args).copy()
+            if flips(*args):
+                out[W + 17] ^= 1  # an interior index
+            return out
+        monkeypatch.setattr(repwindow, fault, flipped)
+    got = repwindow.axiom_residuals(W, 4)
+    assert got == _sparse_residuals(W, 4)
+    assert any(got.values()) == (fault is not None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thuemorse import blocks, ktheory, trace, words
+from thuemorse import blocks, ktheory, repwindow, trace, words
 from thuemorse.errors import NotAFactorError, ResourceLimitError
 
 SIXTH = Fraction(1, 6)
@@ -215,6 +215,27 @@ def test_frequency_oracle_agreement():
         for w in words.factors_of_length(L):
             gap = abs(trace.trace_range(w) - trace.frequency(w, window))
             assert gap <= Fraction(1, 100)
+
+
+def _scan(s, w):
+    """Start indices of w in s, overlapping occurrences included, letter by letter."""
+    return [i for i in range(len(s) - len(w) + 1) if s[i:i + len(w)] == w]
+
+
+@given(st.integers(min_value=0, max_value=(1 << 16) - 40),
+       st.integers(min_value=1, max_value=40), st.data())
+@settings(max_examples=30, deadline=None)
+def test_counts_match_letter_by_letter_scan(oracle_prefix, start, length, data):
+    w = oracle_prefix[start:start + length]
+    N = data.draw(st.integers(min_value=length, max_value=len(oracle_prefix)))
+    starts = _scan(oracle_prefix[:N], w)
+    assert words.occurrences(w, 0, N) == starts
+    assert trace.frequency(w, N) == Fraction(len(starts), N - length + 1)
+    W = data.draw(st.integers(min_value=4 * length, max_value=len(oracle_prefix)))
+    # x[-W..W-1] by the mirror rule x[-i] = x[i-1]
+    window = oracle_prefix[:W][::-1] + oracle_prefix[:W]
+    assert repwindow.empirical_trace(w, W) == Fraction(len(_scan(window, w)),
+                                                       2 * W + 1 - length)
 
 
 def test_frequency_validation():
