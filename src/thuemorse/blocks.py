@@ -26,7 +26,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvariantError, LevelError, NotAFactorError
-from .words import block, complement, is_factor, lift, require_factor, short_word_cache, tm_prefix
+from .words import (_is_binary, block, complement, is_factor, lift, require_factor,
+                    short_word_cache, tm_prefix)
 
 
 def _owner(gamma: str, level: int, suffix: bool):
@@ -67,7 +68,7 @@ class BlockDecomposition:
             # len(gamma) >= 2**level, without building 2**level
             if len(gamma).bit_length() > self.level:
                 raise ValueError(f"{side} must be shorter than a level-{self.level} block")
-            if gamma.strip("01"):
+            if not _is_binary(gamma):
                 raise ValueError(f"{side} must consist of '0'/'1' only")
         if self.gamma0 and _owner(self.gamma0, self.level, suffix=True) is None:
             raise ValueError("gamma0 is not a final subword of a block")
@@ -91,8 +92,9 @@ class BlockDecomposition:
 
 def recompose(d: BlockDecomposition) -> str:
     """Expand a decomposition back into the word it describes."""
-    middle = "".join(block(b, d.level) for b in d.blocks)
-    return d.gamma0 + middle + d.gamma1
+    b0 = block(0, d.level)
+    pair = (b0, complement(b0))
+    return d.gamma0 + "".join(pair[b] for b in d.blocks) + d.gamma1
 
 
 # 512 entries of at most |w| <= MAX_CACHED_LENGTH block letters each

@@ -19,7 +19,7 @@ from .errors import InvariantError, ThueMorseError
 
 
 def _word_arg(text: str) -> str:
-    if text.strip("01"):
+    if not words._is_binary(text):
         raise argparse.ArgumentTypeError(f"not a binary word: {text!r}")
     if not text:
         raise argparse.ArgumentTypeError("empty word")

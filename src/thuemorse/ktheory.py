@@ -13,10 +13,10 @@ denominator dividing some 3 * 2^m.
 
 Classes of pure block words of lengths four to six are pinned as the
 literal table BLOCK_CLASS_TABLE.  solve_block_class_table re-derives it
-from the one-block splitting relations by exact rational elimination
-(the template equations come from splitting a three-block word into its
-four-block extensions), and the verification suite and the tests
-require the two to agree entry for entry.
+from the one-block splitting relations by exact sparse rational
+elimination (the template equations come from splitting a three-block
+word into its four-block extensions), and the verification suite and
+the tests require the two to agree entry for entry.
 """
 
 from __future__ import annotations
@@ -114,31 +114,41 @@ def _generator_pair(c: str):
 
 
 def _solve_unique(rows, rhs, n_unknowns):
-    """Exact Gaussian elimination; requires a unique solution.
+    """Exact sparse Gauss-Jordan elimination; requires a unique solution.
 
-    rows is a list of scalar coefficient lists and rhs the right-hand
-    scalars; returns the solution list.
+    rows is a list of {column: coefficient} dicts and rhs the right-hand
+    scalars; returns the solution list.  Each pivot step touches only
+    the nonzeros of the pivot row, in the rows that hold its column.
     """
-    m = [list(map(Fraction, row)) + [Fraction(x)] for row, x in zip(rows, rhs)]
+    m = []
+    for row, x in zip(rows, rhs):
+        r = {c: Fraction(v) for c, v in row.items() if v}
+        if x:
+            r[n_unknowns] = Fraction(x)  # the right-hand side as one more column
+        m.append(r)
+    free = list(range(len(m)))
     piv_rows = []
-    r = 0
     for c in range(n_unknowns):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
+        r = next((i for i in free if c in m[i]), None)
+        if r is None:
             raise InvariantError("block-class system is underdetermined")
-        m[r], m[pivot] = m[pivot], m[r]
+        free.remove(r)
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivot = m[r] = {k: x / pv for k, x in m[r].items()}
+        for i, row in enumerate(m):
+            if i == r or c not in row:
+                continue
+            f = row[c]
+            for k, x in pivot.items():
+                y = row.get(k, 0) - f * x
+                if y:
+                    row[k] = y
+                else:
+                    del row[k]
         piv_rows.append(r)
-        r += 1
-    for i in range(r, len(m)):
-        if any(x != 0 for x in m[i]):
-            raise InvariantError("block-class system is inconsistent")
-    return [m[i][n_unknowns] for i in piv_rows]
+    if any(m[i] for i in free):
+        raise InvariantError("block-class system is inconsistent")
+    return [m[r].get(n_unknowns, Fraction(0)) for r in piv_rows]
 
 
 def solve_block_class_table() -> dict:
@@ -175,7 +185,7 @@ def solve_block_class_table() -> dict:
     def add_equation(terms):
         # terms: list of (coefficient 2x2 matrix or scalar, word)
         for comp in (0, 1):
-            row = [Fraction(0)] * n_cols
+            row = {}
             rh = Fraction(0)
             for coef, w in terms:
                 if isinstance(coef, tuple):
@@ -183,11 +193,11 @@ def solve_block_class_table() -> dict:
                 else:
                     c_a, c_b = (coef, 0) if comp == 0 else (0, coef)
                 if w in unknown_set:
-                    row[col[w]] += c_a
-                    row[col[w] + 1] += c_b
+                    for k, x in ((col[w], c_a), (col[w] + 1, c_b)):
+                        row[k] = row.get(k, 0) + x
                 else:
                     rh -= c_a * known[w][0] + c_b * known[w][1]
-            if any(row) or rh != 0:
+            if any(row.values()) or rh != 0:
                 rows.append(row)
                 rhs.append(rh)
 

@@ -6,11 +6,12 @@ n-1 is i, and to zero when the shift would leave the window.  Every
 operator in the defining relations is a partial shift with a 0/1 mask,
 so `axiom_residuals` checks the relations as integer identities of
 plain vectors: the letter masks [x[n-1] = a] and the range diagonals,
-which are read off the letter string x[-W..W-1].  The relations hold
-with residual exactly zero on the interior band where the truncation
-is invisible.  The sparse matrices of `build_generators`,
-`word_operator` and `range_projection` are built only when asked for,
-and only they load scipy.
+which are read off the letter string x[-W..W-1], held as float32 so
+that their Gram product runs on BLAS, with every value an exact
+integer.  The relations hold with residual exactly zero on the interior
+band where the truncation is invisible.  The sparse matrices of
+`build_generators`, `word_operator` and `range_projection` are built
+only when asked for, and only they load scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ if TYPE_CHECKING:
 
 MAX_HALF_WIDTH = 1 << 20
 # Largest (factor count) x (2W + 1) that `axiom_residuals` holds as range
-# diagonals: 2.8 times the 92 x 32 769 of `verify --full`, 32 MB of int32.
+# diagonals: 2.8 times the 92 x 32 769 of `verify --full`, 32 MB of float32.
 MAX_RESIDUAL_CELLS = 1 << 23
 
 
@@ -114,6 +115,13 @@ def _range_diagonal(alpha: str, W: int) -> np.ndarray:
     return diag
 
 
+# axiom_residuals holds its 0/1 vectors as float32, so the Gram product
+# runs on BLAS (numpy's integer matmul does not).  This is exact because
+# every partial sum is an integer <= 2W + 1, and
+#     2 * MAX_HALF_WIDTH + 1 < 2**24,
+# below which float32 represents every integer exactly.
+
+
 def axiom_residuals(W: int, maxlen: int) -> dict:
     """Maximum residual of each defining relation on the interior band.
 
@@ -131,15 +139,15 @@ def axiom_residuals(W: int, maxlen: int) -> dict:
     if len(words) * size > MAX_RESIDUAL_CELLS:
         raise ResourceLimitError(
             f"{len(words)} range diagonals of {size} entries exceed {MAX_RESIDUAL_CELLS}")
-    D = np.zeros((len(words), size), dtype=np.int32)
+    D = np.zeros((len(words), size), dtype=np.float32)
     for row, w in zip(D, words):
         row[:] = _range_diagonal(w, W)
     diag = dict(zip(words, D))
-    zero = np.zeros(size, dtype=np.int32)
+    zero = np.zeros(size, dtype=np.float32)
     # mask[a][n] = [x[n-1] = a], so T_a is the superdiagonal mask[a][1:];
     # below, entry (n-1, n) of a product sits at index n-1 of the vectors
     # sliced [1:] (read at n) and [:-1] (read at n-1)
-    mask = np.zeros((2, size), dtype=np.int32)
+    mask = np.zeros((2, size), dtype=np.float32)
     letters = _letters(W)[:-1]
     mask[0, 1:], mask[1, 1:] = letters == 0, letters == 1
     pad = maxlen

@@ -15,8 +15,8 @@ w is the level-n expansion of the block word c of 2..6 letters, and
 trace(w) = trace(c) / 2^n, which is O(|w|).  Every value has the form
 1/(3 * 2^m) or 1/(6 * 2^m) (Dekking, Acta Univ. Carolinae Math. Phys.
 33, 1992).  All arithmetic is exact rational.  The empirical oracle
-`frequency` counts occurrences in a prefix with `str.count`, exact
-because the sequence is overlap-free.
+`frequency` counts occurrences in a prefix by the substitution
+recursion, which reads O(log N) letters instead of the prefix itself.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from functools import lru_cache
 
 from .blocks import _signature
 from .errors import ResourceLimitError
-from .words import _check_word, complement, factors_of_length, is_factor, require_factor, tm_prefix
+from .words import (_check_word, _prefix_count, complement, factors_of_length, is_factor,
+                    require_factor)
 
 MAX_FREQUENCY_WINDOW = 1 << 26
 MAX_BLOCK_TRACE_LEVEL = 30
@@ -161,14 +162,13 @@ def frequency(w: str, N: int) -> Fraction:
     """Occurrence count of w among the first N letters over window count.
 
     An exact rational; by unique ergodicity it converges to
-    trace_range(w) as N grows.  Two occurrences of w at distance
-    p < |w| would make a factor of length |w| + p >= 2p + 1 with period
-    p, an overlap, which Thue-Morse does not contain; so str.count's
-    non-overlapping count is the full occurrence count.
+    trace_range(w) as N grows.  The count comes from the substitution
+    recursion of `words._prefix_count`, which halves N per level and
+    never builds the prefix, so it costs O(|w| + log N).
     """
     require_factor(w)
     if N > MAX_FREQUENCY_WINDOW:
         raise ResourceLimitError(f"window {N} exceeds {MAX_FREQUENCY_WINDOW}")
     if N < len(w):
         raise ValueError("window must be at least as long as the word")
-    return Fraction(tm_prefix(N).count(w), N - len(w) + 1)
+    return Fraction(_prefix_count(w, N), N - len(w) + 1)

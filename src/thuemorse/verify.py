@@ -117,6 +117,8 @@ def _brute_level_splits(w: str, n: int) -> list:
     """All (gamma0, blocks, gamma1) splittings of w at level n, by brute force."""
     size = 1 << n
     bl = [words.block(0, n), words.block(1, n)]
+    suffixes = {b[size - g:] for b in bl for g in range(1, size)}
+    prefixes = {b[:g] for b in bl for g in range(1, size)}
     out = []
     for g0 in range(size):
         rest = len(w) - g0
@@ -125,9 +127,9 @@ def _brute_level_splits(w: str, n: int) -> list:
         k = rest // size
         g1 = rest - k * size
         gamma0, gamma1 = w[:g0], w[len(w) - g1:] if g1 else ""
-        if gamma0 and not any(b.endswith(gamma0) for b in bl):
+        if gamma0 and gamma0 not in suffixes:
             continue
-        if gamma1 and not any(b.startswith(gamma1) for b in bl):
+        if gamma1 and gamma1 not in prefixes:
             continue
         mid = w[g0:len(w) - g1] if g1 else w[g0:]
         bits = []

@@ -9,9 +9,11 @@ the substitution grid, its letter pairs de-substitute to a shorter
 factor.
 
 The sequence is held once, as the letter string that `tm_prefix` grows
-by doubling; every count and window in the package is read off it.
-Thue-Morse is overlap-free (Thue 1912), so no two occurrences of a word
-overlap, and `str.count` on that string is the exact occurrence count.
+by doubling; every window in the package is read off it.  Thue-Morse is
+overlap-free (Thue 1912), so no two occurrences of a word overlap, and
+`str.count` on that string is the exact occurrence count.  Counts in
+long prefixes instead follow the same de-substitution down the
+substitution levels (`_prefix_count`), without building the prefix.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ _DROP_BINARY = str.maketrans("", "", "01")
 _prefix_cache = "0"
 
 
+def _is_binary(s: str) -> bool:
+    """Whether every letter of s is '0' or '1' (true for the empty string)."""
+    return not s.translate(_DROP_BINARY)  # faster than strip("01") on long words
+
+
 def _check_word(w: str, allow_empty: bool = False) -> str:
     if not isinstance(w, str):
         raise TypeError(f"word must be a string, got {type(w).__name__}")
@@ -53,7 +60,7 @@ def _check_word(w: str, allow_empty: bool = False) -> str:
         raise ValueError("empty word not allowed here")
     if len(w) > MAX_WORD_LENGTH:
         raise ResourceLimitError(f"word length {len(w)} exceeds {MAX_WORD_LENGTH}")
-    if w.translate(_DROP_BINARY):  # faster than strip("01") on long words
+    if not _is_binary(w):
         raise ValueError(f"word must consist of '0'/'1' only: {w!r}")
     return w
 
@@ -207,6 +214,56 @@ def _parent_word(w: str, phase: int):
     head = complement(w[0]) if phase else ""
     tail = w[-1] if (len(w) - phase) % 2 else ""
     return head + body + tail
+
+
+# Below this prefix length a count reads the prefix itself.
+_COUNT_BASE = 64
+# Counts of words longer than this are not memoised; a long word's
+# parents halve in length, so its recursion reaches the memo after
+# log2(|w| / _COUNT_KEY_LENGTH) levels.
+_COUNT_KEY_LENGTH = 64
+
+
+def _prefix_count(w: str, n: int) -> int:
+    """Occurrences of w at starts p >= 0 with p + |w| <= n.
+
+    Exact for any nonempty binary word, factor or not, by the 2-automatic
+    recursion (Allouche & Shallit, Automatic Sequences, 2003): an
+    occurrence at p = 2q + phase is an occurrence of the parent word
+    `_parent_word(w, phase)` at q, and q ranges over
+    0 <= q <= (n - phase - |w|) // 2.  Words of fewer than four letters
+    do not shrink under de-substitution, so they split into their right
+    extensions plus the one start p = n - |w| that has no extension
+    inside the prefix.  Memory is O(|w|) and time O(|w| + log n) beyond
+    the shared memo of short words; the prefix is never built beyond
+    _COUNT_BASE letters.
+    """
+    if len(w) <= _COUNT_KEY_LENGTH:
+        return _short_prefix_count(w, n)
+    return _count_step(w, n)
+
+
+def _count_step(w: str, n: int) -> int:
+    if n < len(w):
+        return 0
+    if n <= _COUNT_BASE:
+        # overlap-free, so str.count's non-overlapping count is complete
+        # for factors, and a non-factor occurs nowhere
+        return tm_prefix(n).count(w)
+    if len(w) < 4:
+        last = all(tm_letter(n - len(w) + i) == int(a) for i, a in enumerate(w))
+        return _prefix_count(w + "0", n) + _prefix_count(w + "1", n) + last
+    total = 0
+    for phase in (0, 1):
+        parent = _parent_word(w, phase)
+        if parent is not None and n - phase - len(w) >= 0:
+            total += _prefix_count(parent, (n - phase - len(w)) // 2 + len(parent))
+    return total
+
+
+# one count at n <= 2**26 was measured to visit at most ~1100 short keys;
+# the 92 words of the ergodic check in `verify --full` share 656
+_short_prefix_count = lru_cache(maxsize=1 << 12)(_count_step)
 
 
 def is_factor(w: str) -> bool:

@@ -168,6 +168,8 @@ def test_block_decomposition_validation():
         blocks.BlockDecomposition(0, "", (0, 2), "")
     with pytest.raises(ValueError):
         blocks.BlockDecomposition(2, "00", (0, 1), "")  # 00 ends no block
+    with pytest.raises(ValueError, match="gamma1 must consist of '0'/'1' only"):
+        blocks.BlockDecomposition(2, "", (0, 1), "0x")
 
 
 def _owned(gamma, level, suffix):

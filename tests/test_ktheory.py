@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thuemorse import blocks, ktheory, trace, words
-from thuemorse.errors import NotAFactorError
+from thuemorse.errors import InvariantError, NotAFactorError
 from thuemorse.ktheory import K0Element
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -231,3 +231,19 @@ def test_serialization():
     e = K0Element(2, 3, -1)
     assert e.as_dict() == {"level": 2, "a": 3, "b": -1}
     assert "level" in e.to_json()
+
+
+def test_solver_solves_a_tiny_sparse_system():
+    # 2x + y = 3, x - y = 0, and a redundant x + 2y = 3
+    rows = [{0: 2, 1: 1}, {0: 1, 1: -1}, {0: 1, 1: 2}]
+    assert ktheory._solve_unique(rows, [3, 0, 3], 2) == [1, 1]
+
+
+def test_solver_rejects_underdetermined_system():
+    with pytest.raises(InvariantError, match="underdetermined"):
+        ktheory._solve_unique([{0: 1, 1: 1}, {0: 2, 1: 2}], [2, 4], 2)
+
+
+def test_solver_rejects_inconsistent_system():
+    with pytest.raises(InvariantError, match="inconsistent"):
+        ktheory._solve_unique([{0: 1}, {0: 2}], [1, 3], 1)

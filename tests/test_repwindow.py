@@ -169,3 +169,14 @@ def test_vector_residuals_match_sparse_products(monkeypatch, fault, flips):
     got = repwindow.axiom_residuals(W, 4)
     assert got == _sparse_residuals(W, 4)
     assert any(got.values()) == (fault is not None)
+
+
+def test_float32_gram_product_is_exact_up_to_the_width_cap():
+    # axiom_residuals holds its 0/1 vectors as float32: every sum it forms
+    # is an integer <= 2W + 1, exact below 2**24
+    size = 2 * repwindow.MAX_HALF_WIDTH + 1
+    assert size < 2 ** 24
+    ones = np.ones((2, size), dtype=np.float32)
+    assert (ones @ ones.T == size).all()
+    assert int(np.float32(2 ** 24 - 1)) == 2 ** 24 - 1
+    assert int(np.float32(2 ** 24 + 1)) != 2 ** 24 + 1

@@ -243,3 +243,25 @@ def test_frequency_validation():
         trace.frequency("0", (1 << 26) + 1)
     with pytest.raises(ValueError):
         trace.frequency("0110", 2)
+
+
+def test_frequency_equals_the_count_in_the_prefix():
+    N = 1 << 20
+    prefix = words.tm_prefix(N)
+    for L in range(1, 9):
+        for w in words.factors_of_length(L):
+            assert trace.frequency(w, N) == Fraction(prefix.count(w), N - len(w) + 1), w
+
+
+def test_frequency_builds_no_prefix_and_keeps_its_memo_bounded(monkeypatch):
+    monkeypatch.setattr(words, "_prefix_cache", "0")
+    assert abs(trace.frequency("0110", 1 << 26) - SIXTH) <= Fraction(1, 10 ** 4)
+    assert len(words._prefix_cache) <= 4096
+    N = 1 << 20
+    prefix = words.tm_prefix(N)
+    long_words = {prefix[4099 * k:4099 * k + 4096] for k in range(200)}
+    assert len(long_words) == 200
+    for w in long_words:
+        assert words._prefix_count(w, N) == prefix.count(w)
+    memo = words._short_prefix_count.cache_info()
+    assert memo.currsize <= memo.maxsize == 1 << 12

@@ -1,3 +1,5 @@
+import itertools
+
 
 import pytest
 from hypothesis import given
@@ -262,3 +264,21 @@ def test_occurrences_two_sided(oracle_prefix):
 def test_base_factor_window_is_safe(oracle_factors):
     # the membership base case: every factor of at most 8 letters
     assert words._base_factors() == {w for L in range(1, 9) for w in oracle_factors(L)}
+
+
+def test_prefix_count_matches_letter_by_letter_scan(oracle_prefix):
+    # every factor of <= 6 letters, and the first non-factor of each length
+    # from 3 on (every word of one or two letters is a factor)
+    cases = []
+    for L in range(1, 7):
+        found = words.factors_of_length(L)
+        cases += found
+        cases += [w for w in map("".join, itertools.product("01", repeat=L))
+                  if w not in found][:1]
+    assert len(cases) == 50 + 4
+    for w in cases:
+        starts = [p for p in range(512 - len(w) + 1) if oracle_prefix[p:p + len(w)] == w]
+        for n in range(513):
+            # the starts p of a scan of oracle_prefix[:n] are those with p + |w| <= n
+            expected = sum(p + len(w) <= n for p in starts)
+            assert words._prefix_count(w, n) == expected, (w, n)
