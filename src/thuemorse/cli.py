@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import afcore, blocks, extensions, ktheory, trace, words
+from . import afcore, blocks, extensions, ktheory, repwindow, trace, verify, words
 from .errors import InvariantError, ThueMorseError
 
 
@@ -139,13 +139,11 @@ def _dispatch(args) -> tuple:
         e = ktheory.K0Element(args.level, args.a, args.b)
         return {"value": str(ktheory.evaluate(e))}, 0
     if args.command == "rep-check":
-        from . import repwindow  # numpy: loaded only for this command and verify
         res = repwindow.axiom_residuals(args.window, args.maxlen)
         ok = all(v == 0 for v in res.values())
         return {"window": args.window, "maxlen": args.maxlen,
                 "residuals": res, "ok": ok}, 0 if ok else 1
     if args.command == "verify":
-        from . import verify
         report = verify.run_suite(quick=args.quick)
         return report, 0 if report["ok"] else 1
     raise ValueError(f"unknown subcommand {args.command!r}")

@@ -4,24 +4,21 @@ The two generator operators act on basis vectors indexed by integers in
 [-W, W]: T_i sends v_n to v_{n-1} exactly when the sequence letter at
 n-1 is i, and to zero when the shift would leave the window.  Every
 operator in the defining relations is a partial shift with a 0/1 mask,
-so `axiom_residuals` checks the relations as integer identities of
-plain vectors: the letter masks [x[n-1] = a] and the range diagonals,
-which are read off the letter string x[-W..W-1], held as float32 so
-that their Gram product runs on BLAS, with every value an exact
-integer.  The relations hold with residual exactly zero on the interior
+so `axiom_residuals` checks the relations as identities of 0/1 vectors:
+the letter masks [x[n-1] = a] and the range diagonals, read off the
+letter string x[-W..W-1].  Each vector is one Python int whose bit
+n + W is its entry at n, and the relations are exact `&`, `^`, `|` and
+shift identities that hold with residual exactly zero on the interior
 band where the truncation is invisible.  The sparse matrices of
 `build_generators`, `word_operator` and `range_projection` are built
-only when asked for, and only they load scipy.
+only when asked for, and only they load numpy and scipy.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import ResourceLimitError
 from .words import _check_word, factors_of_length, require_factor, tm_slice
@@ -31,7 +28,7 @@ if TYPE_CHECKING:
 
 MAX_HALF_WIDTH = 1 << 20
 # Largest (factor count) x (2W + 1) that `axiom_residuals` holds as range
-# diagonals: 2.8 times the 92 x 32 769 of `verify --full`, 32 MB of float32.
+# diagonals: 2.8 times the 92 x 32 769 of `verify --full`, 1 MB of bits.
 MAX_RESIDUAL_CELLS = 1 << 23
 
 
@@ -47,10 +44,21 @@ class WindowOperator:
         return 2 * self.W + 1
 
 
-def _letters(W: int) -> np.ndarray:
-    # letter at position n stored at array index n + W
-    s = tm_slice(-W, W + 1)
-    return np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")
+def _ones(n: int) -> int:
+    return (1 << n) - 1
+
+
+def _letters(W: int) -> int:
+    # bit n + W is [x[n] = 1], for n in [-W, W]
+    return int(tm_slice(-W, W + 1)[::-1], 2)
+
+
+def _array(bits: int, size: int):
+    """Bits 0..size-1 of an int as a 0/1 uint8 array."""
+    import numpy as np
+
+    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:size]
 
 
 def _check_width(W: int):
@@ -71,10 +79,10 @@ def build_generators(W: int):
     from scipy import sparse
 
     _check_width(W)
-    letters = _letters(W)[:-1]
+    letters = _array(_letters(W), 2 * W + 1)[:-1]
     # T_i is the superdiagonal [x[n-1] = i]; CSR keeps no explicit zeros
     return tuple(WindowOperator(W, sparse.csr_matrix(sparse.diags(
-        letters == i, 1, dtype=np.int64))) for i in (0, 1))
+        letters == i, 1, dtype="int64"))) for i in (0, 1))
 
 
 def word_operator(alpha: str, W: int) -> WindowOperator:
@@ -103,23 +111,20 @@ def range_projection(alpha: str, W: int) -> WindowOperator:
 
     _check_width(W)
     _check_window_word(alpha, W, allow_empty=True)
-    diag = _range_diagonal(alpha, W)
-    return WindowOperator(W, sparse.csr_matrix(sparse.diags(diag, dtype=np.int64)))
+    diag = _array(_range_diagonal(alpha, W), 2 * W + 1)
+    return WindowOperator(W, sparse.csr_matrix(sparse.diags(diag, dtype="int64")))
 
 
-def _range_diagonal(alpha: str, W: int) -> np.ndarray:
-    # Thue-Morse is overlap-free, so no two occurrences of a word overlap
-    # and finditer's non-overlapping matches are all of them.
-    diag = np.zeros(2 * W + 1, dtype=np.int32)
-    diag[[m.end() for m in re.finditer(alpha, tm_slice(-W, W))]] = 1
-    return diag
-
-
-# axiom_residuals holds its 0/1 vectors as float32, so the Gram product
-# runs on BLAS (numpy's integer matmul does not).  This is exact because
-# every partial sum is an integer <= 2W + 1, and
-#     2 * MAX_HALF_WIDTH + 1 < 2**24,
-# below which float32 represents every integer exactly.
+def _range_diagonal(alpha: str, W: int) -> int:
+    # bit c of ones[a] >> k is [x[c + k - W] = a] (0 past the string's
+    # end), so the AND over k marks the starts of alpha in x[-W..W-1] and
+    # the shift by |alpha| moves each start c to its end, bit n + W
+    one = int(tm_slice(-W, W)[::-1], 2)
+    ones = (one ^ _ones(2 * W), one)
+    diag = _ones(2 * W + 1)
+    for k, a in enumerate(alpha):
+        diag &= ones[int(a)] >> k
+    return diag << len(alpha)
 
 
 def axiom_residuals(W: int, maxlen: int) -> dict:
@@ -139,50 +144,49 @@ def axiom_residuals(W: int, maxlen: int) -> dict:
     if len(words) * size > MAX_RESIDUAL_CELLS:
         raise ResourceLimitError(
             f"{len(words)} range diagonals of {size} entries exceed {MAX_RESIDUAL_CELLS}")
-    D = np.zeros((len(words), size), dtype=np.float32)
-    for row, w in zip(D, words):
-        row[:] = _range_diagonal(w, W)
-    diag = dict(zip(words, D))
-    zero = np.zeros(size, dtype=np.float32)
-    # mask[a][n] = [x[n-1] = a], so T_a is the superdiagonal mask[a][1:];
-    # below, entry (n-1, n) of a product sits at index n-1 of the vectors
-    # sliced [1:] (read at n) and [:-1] (read at n-1)
-    mask = np.zeros((2, size), dtype=np.float32)
-    letters = _letters(W)[:-1]
-    mask[0, 1:], mask[1, 1:] = letters == 0, letters == 1
+    diag = {w: _range_diagonal(w, W) for w in words}
+    # bit n + W of mask[a] is [x[n-1] = a]: T_a is the superdiagonal mask[a]
+    # >> 1, and entry (n-1, n) of a product sits at bit n - 1 of the
+    # vectors read at n (shifted right by one) and at n-1 (unshifted)
+    letters = _letters(W)
+    mask = tuple(m << 1 & _ones(size) for m in (letters ^ _ones(size), letters))
     pad = maxlen
-    inner = slice(pad, size - pad)
+    band = _ones(size - 2 * pad) << pad  # bits pad .. size - pad - 1
+    band_ii = _ones(size - 2 * pad - 1) << pad
 
-    # (i) G[u, v] = |r(u) & r(v)|: disjoint unless u is a suffix of v,
-    # and then r(v) lies inside r(u)
-    interior = D[:, inner]
-    G = interior @ interior.T
-    res_i = int(any(G[i, j] != (G[j, j] if v.endswith(u) else 0)
-                    for i, u in enumerate(words) for j, v in enumerate(words)
-                    if len(v) >= len(u)))
+    # (i) on the band, r(u) & r(v) is r(v) if u is a suffix of v and empty
+    # otherwise, for |v| >= |u|.  Equivalently, ranges of one length are
+    # disjoint and r(v) lies in r(v[1:]): by induction on |v| - |u|, r(v)
+    # lies in r(s) for the suffix s of v of length |u|, which is u or has a
+    # range disjoint from r(u); conversely both are cases of the pairs.
+    res_i = False
+    covered = dict.fromkeys(range(1, maxlen + 1), 0)
+    for v in words:
+        d = diag[v] & band
+        if d & covered[len(v)] or len(v) > 1 and d & ~diag[v[1:]]:
+            res_i = True
+        covered[len(v)] |= d
 
-    # (ii) p_A s_a - s_a p_Aa and (iv) p_A - sum_a s_a p_Aa s_a*
-    res_ii = res_iv = 0
+    # (ii) p_A s_a - s_a p_Aa and (iv) p_A - sum_a s_a p_Aa s_a*; the masks
+    # are disjoint, so the sum is an OR
+    res_ii = res_iv = False
     for A in words:
         if len(A) >= maxlen:
             continue
-        ends = [mask[a] * diag.get(A + "01"[a], zero) for a in (0, 1)]
+        ends = [mask[a] & diag.get(A + "01"[a], 0) for a in (0, 1)]
         for a in (0, 1):
-            res_ii = max(res_ii, int(np.abs(
-                mask[a, 1:] * diag[A][:-1] - ends[a][1:])[pad:size - pad - 1].max()))
-        res_iv = max(res_iv, int(np.abs(
-            diag[A][:-1] - (ends[0] + ends[1])[1:])[inner].max()))
+            res_ii |= bool(((mask[a] >> 1 & diag[A]) ^ ends[a] >> 1) & band_ii)
+        res_iv |= bool((diag[A] ^ (ends[0] | ends[1]) >> 1) & band)
 
     # (iii) s_a* s_a = p_a and s_0* s_1 = s_1* s_0 = 0
-    res_iii = int(max(np.abs(mask[0] - diag["0"])[inner].max(),
-                      np.abs(mask[1] - diag["1"])[inner].max(),
-                      (mask[0] * mask[1])[inner].max()))
+    res_iii = bool(((mask[0] ^ diag["0"]) | (mask[1] ^ diag["1"]) | (mask[0] & mask[1]))
+                   & band)
 
     return {
-        "axiom_i": res_i,
-        "axiom_ii": res_ii,
-        "axiom_iii": res_iii,
-        "axiom_iv": res_iv,
+        "axiom_i": int(res_i),
+        "axiom_ii": int(res_ii),
+        "axiom_iii": int(res_iii),
+        "axiom_iv": int(res_iv),
     }
 
 

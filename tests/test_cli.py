@@ -149,6 +149,8 @@ OVER_CAP = "0" * (words.MAX_WORD_LENGTH + 1)
     (["rep-check", "--maxlen", "0"], 1),
     # 92 factors of <= 8 letters x 91 181 entries: just over MAX_RESIDUAL_CELLS
     (["rep-check", "--window", "45590", "--maxlen", "8"], 1),
+    # 6 392 factors of <= 64 letters x 1 025 entries, inside the cap
+    (["rep-check", "--window", "512", "--maxlen", "64"], 0),
 ])
 def test_boundary_values(capsys, argv, code):
     got, payload = run_json(capsys, argv)
@@ -183,11 +185,14 @@ def test_outputs_deterministic(capsys):
 
 
 def test_queries_load_neither_numpy_nor_scipy():
-    probe = ("import sys, thuemorse; thuemorse.trace_range('0110'); "
-             "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["[]"]
+    for call in ("thuemorse.trace_range('0110')",
+                 "thuemorse.verify; thuemorse.repwindow.axiom_residuals(1024, 4); "
+                 "thuemorse.empirical_trace('01', 4096)"):
+        probe = (f"import sys, thuemorse; {call}; "
+                 "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["[]"]
     import thuemorse
     star = {}
     exec("from thuemorse import *", star)

@@ -155,28 +155,19 @@ def _sparse_residuals(W, maxlen):
     (None, None),
     ("_range_diagonal", lambda alpha, width: alpha == "01"),
     ("_letters", lambda width: True),
-], ids=["none", "diagonal-entry", "letter"])
+    # r(0110) gains a position outside r(110): the top step of the suffix chain
+    ("_range_diagonal", lambda alpha, width: alpha == "0110"),
+    # r(0101) gains a position inside r(101) and r(1101): only disjointness sees it
+    ("_range_diagonal", lambda alpha, width: alpha == "0101"),
+], ids=["none", "diagonal-entry", "letter", "top-diagonal-entry", "same-length-overlap"])
 def test_vector_residuals_match_sparse_products(monkeypatch, fault, flips):
     if fault:
         original = getattr(repwindow, fault)
 
         def flipped(*args):
-            out = original(*args).copy()
-            if flips(*args):
-                out[W + 17] ^= 1  # an interior index
-            return out
+            return original(*args) ^ (flips(*args) << (W + 17))  # an interior bit
         monkeypatch.setattr(repwindow, fault, flipped)
     got = repwindow.axiom_residuals(W, 4)
     assert got == _sparse_residuals(W, 4)
     assert any(got.values()) == (fault is not None)
 
-
-def test_float32_gram_product_is_exact_up_to_the_width_cap():
-    # axiom_residuals holds its 0/1 vectors as float32: every sum it forms
-    # is an integer <= 2W + 1, exact below 2**24
-    size = 2 * repwindow.MAX_HALF_WIDTH + 1
-    assert size < 2 ** 24
-    ones = np.ones((2, size), dtype=np.float32)
-    assert (ones @ ones.T == size).all()
-    assert int(np.float32(2 ** 24 - 1)) == 2 ** 24 - 1
-    assert int(np.float32(2 ** 24 + 1)) != 2 ** 24 + 1
