@@ -16,8 +16,9 @@ leaves two full blocks.  The chain of a word of at most
 the cache holds 512 chains of at most |w| block letters each.
 
 The signature (n, c) of a factor is its top level n and the block word
-c of 2..6 letters that its level-n decomposition completes to, or (0, w)
-without a level-1 grid.  Trace and K0 class are functions of it alone.
+c of 2..6 letters that completes the chain's top entry, with no
+BlockDecomposition built, or (0, w) without a level-1 grid.  Trace and
+K0 class are functions of it alone.
 """
 
 from __future__ import annotations
@@ -132,11 +133,6 @@ def _chain(w: str) -> tuple:
     return tuple(chain)
 
 
-def _split(w: str, chain: tuple, n: int) -> BlockDecomposition:
-    c, off = chain[n - 1]
-    return BlockDecomposition(n, w[:off], tuple(map(int, c)), w[off + (len(c) << n):])
-
-
 def decompose(w: str, n: int) -> BlockDecomposition:
     """The unique level-n block decomposition of a factor.
 
@@ -155,7 +151,8 @@ def decompose(w: str, n: int) -> BlockDecomposition:
         raise LevelError(f"no level-1 decomposition of {w!r} with two full blocks")
     if n > len(chain):
         raise LevelError(f"no level-{n} decomposition of {w!r} with two full blocks")
-    return _split(w, chain, n)
+    c, off = chain[n - 1]
+    return BlockDecomposition(n, w[:off], tuple(map(int, c)), w[off + (len(c) << n):])
 
 
 def choose_level(w: str) -> int:
@@ -164,6 +161,21 @@ def choose_level(w: str) -> int:
     if len(w) < 2:
         raise LevelError("words of length < 2 have no block decomposition")
     return len(_chain(w))
+
+
+def _complete(gamma0: str, c: str, gamma1: str, level: int) -> str:
+    """The block word c extended by the one letter whose level block each
+    nonempty partial block completes: gamma0 ends it, gamma1 begins it."""
+    for gamma, suffix in ((gamma0, True), (gamma1, False)):
+        if gamma:
+            j = _owner(gamma, level, suffix)
+            if j is None:
+                side = "suffix" if suffix else "prefix"
+                raise InvariantError(f"{gamma!r} is a {side} of no level-{level} block")
+            c = "01"[j] + c if suffix else c + "01"[j]
+    if not is_factor(c):
+        raise InvariantError(f"boundary completion {c!r} at level {level} is not a factor")
+    return c
 
 
 def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:
@@ -177,15 +189,8 @@ def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:
     """
     if len(d.blocks) < 2:
         raise ValueError("completion needs at least two full blocks")
-    blocks = list(d.blocks)
-    if d.gamma0:
-        blocks.insert(0, _unique_owner(d.gamma0, d.level, suffix=True))
-    if d.gamma1:
-        blocks.append(_unique_owner(d.gamma1, d.level, suffix=False))
-    out = BlockDecomposition(d.level, "", tuple(blocks), "")
-    if not is_factor("".join("01"[b] for b in out.blocks)):
-        raise InvariantError(f"boundary completion of {d} is not a factor")
-    return out
+    c = _complete(d.gamma0, "".join("01"[b] for b in d.blocks), d.gamma1, d.level)
+    return BlockDecomposition(d.level, "", tuple(map(int, c)), "")
 
 
 # same bound as _chain; one entry holds at most six block letters
@@ -195,16 +200,9 @@ def _signature(w: str) -> tuple:
     chain = _chain(w)
     if not chain:
         return 0, w
-    d = complete_boundaries(_split(w, chain, len(chain)))
-    return d.level, "".join("01"[b] for b in d.blocks)
-
-
-def _unique_owner(gamma: str, level: int, suffix: bool) -> int:
-    j = _owner(gamma, level, suffix)
-    if j is None:
-        side = "suffix" if suffix else "prefix"
-        raise InvariantError(f"{gamma!r} is a {side} of no level-{level} block")
-    return j
+    n = len(chain)
+    c, off = chain[-1]
+    return n, _complete(w[:off], c, w[off + (len(c) << n):], n)
 
 
 def rewrite_five(blocks, n: int):

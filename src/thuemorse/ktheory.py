@@ -11,12 +11,11 @@ the block word c at level n.  The induced trace evaluation sends (a, b)
 at level n to (a + b)/(6 * 2^n), landing in the rationals with
 denominator dividing some 3 * 2^m.
 
-Classes of pure block words of lengths four to six are pinned as the
-literal table BLOCK_CLASS_TABLE.  solve_block_class_table re-derives it
-from the one-block splitting relations by exact sparse rational
-elimination (the template equations come from splitting a three-block
-word into its four-block extensions), and the verification suite and
-the tests require the two to agree entry for entry.
+The classes of the 50 block words of one to six letters are pinned as
+BLOCK_CLASS_TABLE, so a signature's class is one lookup moved to level
+n, as its trace is.  solve_block_class_table re-derives the table by
+exact sparse rational elimination of the one-block splitting relations,
+and the verification suite and the tests require the two to agree.
 """
 
 from __future__ import annotations
@@ -48,9 +47,6 @@ class K0Element:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict())
-
-
-ZERO = K0Element(0, 0, 0)
 
 
 def promote(e: K0Element) -> K0Element:
@@ -152,18 +148,19 @@ def _solve_unique(rows, rhs, n_unknowns):
 
 
 def solve_block_class_table() -> dict:
-    """Classes of factor block words of lengths 4..6, solved from scratch.
+    """Classes of factor block words of lengths 1..6, solved from scratch.
 
     Values are (offset, a, b): the class equals a * a_m + b * b_m at
     level m = n + offset when the word sits on the level-n block grid.
-    Solved as one exact linear system anchored at offset 1, where the
-    level-n generators are a_n = (0, 2) and b_n = (1, 1).  Equations:
+    At the anchor offset 1 the generators (three letters) are a_n = (0, 2)
+    and b_n = (1, 1), shorter words sum their right extensions, and the
+    words of 4..6 letters solve one exact linear system.  Equations:
     one-block left/right splittings, full pair regroupings one level
     up, and unique boundary completions one level up (the last are
     needed to pin the two words that straddle next-level block
     boundaries on both sides).
     """
-    fac = {L: factors_of_length(L) for L in range(2, 7)}
+    fac = {L: factors_of_length(L) for L in range(1, 7)}
     fset = {L: set(ws) for L, ws in fac.items()}
 
     known = {}
@@ -171,8 +168,8 @@ def solve_block_class_table() -> dict:
         ga, gb = _generator_pair(c)
         # express at the anchor: a_n = 2 b_{n+1}, b_n = a_{n+1} + b_{n+1}
         known[c] = (Fraction(gb), Fraction(2 * ga + gb))
-    for c in fac[2]:
-        vs = [known[c + k] for k in "01" if c + k in fset[3]]
+    for c in fac[2] + fac[1]:  # longest first: right extensions are known
+        vs = [known[c + k] for k in "01" if c + k in fset[len(c) + 1]]
         known[c] = (sum(v[0] for v in vs), sum(v[1] for v in vs))
 
     unknowns = [c for L in (4, 5, 6) for c in fac[L]]
@@ -228,7 +225,7 @@ def solve_block_class_table() -> dict:
         known[c] = (solved[2 * i], solved[2 * i + 1])
 
     table = {}
-    for L in (4, 5, 6):
+    for L in range(1, 7):
         for c in fac[L]:
             va, vb = known[c]
             offset = 1
@@ -243,6 +240,10 @@ def solve_block_class_table() -> dict:
 
 # solve_block_class_table(), pinned; word -> (offset, a, b)
 BLOCK_CLASS_TABLE = {
+    "0": (1, 2, 4), "1": (1, 2, 4),
+    "00": (1, 1, 1), "01": (1, 1, 3), "10": (1, 1, 3), "11": (1, 1, 1),
+    "001": (1, 1, 1), "010": (1, 0, 2), "011": (1, 1, 1), "100": (1, 1, 1),
+    "101": (1, 0, 2), "110": (1, 1, 1),
     "0010": (1, 0, 1), "0011": (1, 1, 0), "0100": (1, 0, 1), "0101": (1, 0, 1),
     "0110": (1, 1, 1), "1001": (1, 1, 1), "1010": (1, 0, 1), "1011": (1, 0, 1),
     "1100": (1, 1, 0), "1101": (1, 0, 1),
@@ -259,23 +260,9 @@ BLOCK_CLASS_TABLE = {
 # keys are signatures: at most 21 levels times 50 block words
 @lru_cache(maxsize=1 << 11)
 def _block_word_class(n: int, c: str) -> K0Element:
-    """Class of the expansion of the block word c at level n.
-
-    Words shorter than three letters split into their right extensions.
-    """
-    if len(c) == 3:
-        ga, gb = _generator_pair(c)
-        return normal_form(K0Element(n, ga, gb))
-    if len(c) < 3:
-        total = ZERO
-        for k in "01":
-            if is_factor(c + k):
-                total = k0_add(total, _block_word_class(n, c + k))
-        return total
-    if 4 <= len(c) <= 6:
-        offset, a, b = BLOCK_CLASS_TABLE[c]
-        return normal_form(K0Element(n + offset, a, b))
-    raise ValueError(f"unexpected block word length {len(c)}")
+    """Class of the expansion of the block word c at level n."""
+    offset, a, b = BLOCK_CLASS_TABLE[c]
+    return normal_form(K0Element(n + offset, a, b))
 
 
 def reduce_class(w: str) -> K0Element:

@@ -169,6 +169,21 @@ def test_invariant_failure_is_one_json_line_exit_three(capsys, monkeypatch):
     assert issubclass(InvariantError, RuntimeError)
 
 
+def test_completion_guards_raise_invariant_errors(capsys, monkeypatch):
+    start = (1 << 38) + 777  # a word no other test builds, with both ends partial
+    w = "".join("01"[words.tm_letter(i)] for i in range(start, start + 100))
+    d = blocks.decompose(w, blocks.choose_level(w))
+    assert d.gamma0 and d.gamma1
+    with monkeypatch.context() as m:
+        m.setattr(blocks, "_owner", lambda gamma, level, suffix: None)
+        code, payload = run_json(capsys, ["trace", w])
+    assert code == 3 and list(payload) == ["error"]
+    _, c = blocks._signature(w)
+    monkeypatch.setattr(blocks, "is_factor", lambda u: u != c)
+    with pytest.raises(InvariantError, match="not a factor"):
+        blocks.complete_boundaries(blocks.decompose(w, blocks.choose_level(w)))
+
+
 def test_usage_errors_exit_two(capsys):
     assert cli.run(["factor", "10a2"]) == 2
     assert cli.run(["no-such-command"]) == 2

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -146,7 +147,7 @@ def test_trace_image_values_hit():
 
 def test_pinned_block_table_matches_solver():
     solved = ktheory.solve_block_class_table()
-    assert len(solved) == 38
+    assert len(solved) == 50
     assert solved == ktheory.BLOCK_CLASS_TABLE
 
 
@@ -159,6 +160,12 @@ def test_block_table_respects_splitting_relations():
         if len(c) < 6:
             right = [c + k for k in "01" if words.is_factor(c + k)]
             assert sum(trace.trace_range(u) for u in right) == value
+    # as K0 classes: each class is the sum of its right extensions' classes
+    for n in range(4):
+        for c in [c for c in table if len(c) <= 5]:
+            right = [ktheory._block_word_class(n, c + k) for k in "01"
+                     if words.is_factor(c + k)]
+            assert ktheory._block_word_class(n, c) == reduce(ktheory.k0_add, right), (n, c)
     # and through the completed decomposition of an expanded instance
     for c in table:
         for n in (0, 1):
