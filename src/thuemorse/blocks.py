@@ -15,6 +15,11 @@ leaves two full blocks.  The chain of a word of at most
 `decompose`, `trace_range` and `reduce_class` of one word build it once;
 the cache holds 512 chains of at most |w| block letters each.
 
+Decompositions that `decompose` and `complete_boundaries` read off the
+chain skip `BlockDecomposition.__post_init__` and are not re-validated;
+`recompose`, the brute-force split oracle of `verify` and the tests
+check them instead.
+
 The signature (n, c) of a factor is its top level n and the block word
 c of 2..6 letters that completes the chain's top entry, with no
 BlockDecomposition built, or (0, w) without a level-1 grid.  Trace and
@@ -25,10 +30,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvariantError, LevelError, NotAFactorError
-from .words import (_is_binary, block, complement, is_factor, lift, require_factor,
-                    short_word_cache, tm_prefix)
+from .words import (MAX_CACHED_LENGTH, _bits, _is_binary, block, complement, is_factor,
+                    lift, require_factor, short_word_cache, tm_prefix)
 
 
 def _owner(gamma: str, level: int, suffix: bool):
@@ -91,11 +97,30 @@ class BlockDecomposition:
         return json.dumps(self.as_dict())
 
 
+def _trusted(level: int, gamma0: str, blocks: tuple, gamma1: str) -> BlockDecomposition:
+    """A BlockDecomposition whose fields hold by construction, built
+    without __post_init__'s checks."""
+    d = object.__new__(BlockDecomposition)
+    d.__dict__.update(level=level, gamma0=gamma0, blocks=blocks, gamma1=gamma1)
+    return d
+
+
+def _expansion(level: int) -> dict:
+    b0 = block(0, level)
+    return {0: b0, 1: complement(b0)}
+
+
+# the tables of the 13 levels whose blocks have at most MAX_CACHED_LENGTH letters
+_SHORT_LEVEL = MAX_CACHED_LENGTH.bit_length() - 1
+_short_expansion = lru_cache(maxsize=_SHORT_LEVEL + 1)(_expansion)
+
+
 def recompose(d: BlockDecomposition) -> str:
     """Expand a decomposition back into the word it describes."""
-    b0 = block(0, d.level)
-    pair = (b0, complement(b0))
-    return d.gamma0 + "".join(pair[b] for b in d.blocks) + d.gamma1
+    n = d.level
+    expand = _short_expansion(n) if n <= _SHORT_LEVEL else _expansion(n)
+    # block letters as the code points 0 and 1, each translated to its block
+    return d.gamma0 + bytes(d.blocks).decode("latin-1").translate(expand) + d.gamma1
 
 
 # 512 entries of at most |w| <= MAX_CACHED_LENGTH block letters each
@@ -145,14 +170,14 @@ def decompose(w: str, n: int) -> BlockDecomposition:
     if n < 0:
         raise ValueError("level must be nonnegative")
     if n == 0:
-        return BlockDecomposition(0, "", tuple(map(int, w)), "")
+        return _trusted(0, "", _bits(w), "")
     chain = _chain(w)
     if not chain:
         raise LevelError(f"no level-1 decomposition of {w!r} with two full blocks")
     if n > len(chain):
         raise LevelError(f"no level-{n} decomposition of {w!r} with two full blocks")
     c, off = chain[n - 1]
-    return BlockDecomposition(n, w[:off], tuple(map(int, c)), w[off + (len(c) << n):])
+    return _trusted(n, w[:off], _bits(c), w[off + (len(c) << n):])
 
 
 def choose_level(w: str) -> int:
@@ -190,7 +215,7 @@ def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:
     if len(d.blocks) < 2:
         raise ValueError("completion needs at least two full blocks")
     c = _complete(d.gamma0, "".join("01"[b] for b in d.blocks), d.gamma1, d.level)
-    return BlockDecomposition(d.level, "", tuple(map(int, c)), "")
+    return _trusted(d.level, "", _bits(c), "")
 
 
 # same bound as _chain; one entry holds at most six block letters

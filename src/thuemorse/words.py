@@ -42,6 +42,7 @@ def _factor_window(L: int) -> int:
 
 _COMPLEMENT = str.maketrans("01", "10")
 _DROP_BINARY = str.maketrans("", "", "01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 # module-level prefix cache, grown by doubling; replaced atomically so
 # concurrent readers only ever see a complete string
@@ -51,6 +52,11 @@ _prefix_cache = "0"
 def _is_binary(s: str) -> bool:
     """Whether every letter of s is '0' or '1' (true for the empty string)."""
     return not s.translate(_DROP_BINARY)  # faster than strip("01") on long words
+
+
+def _bits(s: str) -> tuple:
+    """The letters of a binary string as the ints 0 and 1, without a Python loop."""
+    return tuple(s.encode().translate(_BITS))
 
 
 def _check_word(w: str, allow_empty: bool = False) -> str:

@@ -55,6 +55,21 @@ def test_decompose_errors():
         blocks.decompose("0", 0)
 
 
+def test_domain_errors():
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        blocks.decompose("0110", -1)
+    with pytest.raises(LevelError):
+        blocks.choose_level("0")
+    with pytest.raises(ValueError, match="five"):
+        blocks.rewrite_five([0, 1, 1, 0], 1)
+    with pytest.raises(ValueError, match="five"):
+        blocks.rewrite_five([0, 1, 2, 0, 1], 1)
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        blocks.rewrite_five([0, 1, 1, 0, 0], -1)
+    with pytest.raises(NotAFactorError):
+        blocks.rewrite_five([1, 1, 1, 0, 0], 0)
+
+
 def test_choose_level_examples():
     assert blocks.choose_level(ALPHA) == 3
     assert blocks.choose_level("01101") == 1
@@ -85,6 +100,31 @@ def test_round_trip_and_uniqueness_exhaustive():
                     continue
                 assert blocks.recompose(d) == w
                 assert _brute_level_splits(w, n) == [(d.gamma0, d.blocks, d.gamma1)]
+
+
+def test_brute_level_splits_hand_written():
+    # a non-factor with two splits at level 1
+    assert _brute_level_splits("010101", 1) == [("", (0, 0, 0), ""), ("0", (1, 1), "1")]
+    # 0110 1001 1001 0111: the last chunk is no block, and no other offset
+    # leaves a block suffix before a run of blocks
+    assert _brute_level_splits("0110100110010111", 2) == []
+    assert _brute_level_splits("0110", 0) == [("", (0, 1, 1, 0), "")]
+
+
+def _revalidated(d):
+    return blocks.BlockDecomposition(d.level, d.gamma0, d.blocks, d.gamma1)
+
+
+def test_chain_built_decompositions_pass_validation():
+    # decompose and complete_boundaries skip __post_init__; the validating
+    # constructor accepts their fields and builds an equal object
+    for L in range(2, 25):
+        for w in words.factors_of_length(L):
+            for n in range(blocks.choose_level(w) + 1):
+                d = blocks.decompose(w, n)
+                assert _revalidated(d) == d
+                c = blocks.complete_boundaries(d)
+                assert _revalidated(c) == c
 
 
 def test_follower_blocks_forced():
@@ -245,6 +285,7 @@ def test_decompose_matches_absolute_grid_on_far_factors(start, length):
         d = blocks.decompose(w, n)
         g0, letters, g1 = _grid_split(start, length, n)
         assert (d.gamma0, d.blocks, d.gamma1) == (w[:g0], letters, w[length - g1:])
+        assert _revalidated(d) == d
         if length <= 200:
             assert _brute_level_splits(w, n) == [(d.gamma0, d.blocks, d.gamma1)]
     # the signature: every top-level block that w meets, read off the grid

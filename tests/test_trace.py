@@ -203,6 +203,24 @@ def test_uniqueness_interval_nesting_and_width():
         assert any(b1 <= 0 or b2 <= 0 for b1, b2 in values)
 
 
+def test_uniqueness_interval_is_the_exact_positivity_set():
+    # each coordinate of matrix_iterate(t, n) is linear in t, so its values
+    # at t = 0 and t = 1/2 give the one root where its sign changes
+    half = Fraction(1, 2)
+    for N in range(1, 9):
+        lo, hi = None, None
+        for n in range(N + 1):
+            for f0, f1 in zip(trace.matrix_iterate(0, n), trace.matrix_iterate(half, n)):
+                slope = (f1 - f0) / half
+                assert slope != 0
+                root = -f0 / slope
+                if slope > 0:
+                    lo = root if lo is None else max(lo, root)
+                else:
+                    hi = root if hi is None else min(hi, root)
+        assert trace.uniqueness_interval(N) == (lo, hi)
+
+
 def test_frequency_examples():
     assert trace.frequency("0", 1 << 20) == Fraction(1, 2)
     assert abs(trace.frequency("01", 1 << 20) - THIRD) <= Fraction(1, 100)
