@@ -14,8 +14,10 @@ denominator dividing some 3 * 2^m.
 The classes of the 50 block words of one to six letters are pinned as
 BLOCK_CLASS_TABLE, so a signature's class is one lookup moved to level
 n, as its trace is.  solve_block_class_table re-derives the table by
-exact sparse rational elimination of the one-block splitting relations,
-and the verification suite and the tests require the two to agree.
+recursion: each class comes from the generators, from its one-letter
+extensions, or from the shorter block word its level-1 regrouping
+completes to; it then checks every one-block splitting relation, and
+the verification suite and the tests require the two tables to agree.
 """
 
 from __future__ import annotations
@@ -96,9 +98,7 @@ def evaluate(e: K0Element) -> Fraction:
 def is_dyadic_third(q) -> bool:
     """Whether the denominator of q divides 3 * 2^m for some m."""
     d = Fraction(q).denominator
-    while d % 2 == 0:
-        d //= 2
-    return d in (1, 3)
+    return d // (d & -d) in (1, 3)  # d & -d is the largest power of 2 dividing d
 
 
 _GENERATOR_A_WORDS = ("010", "101")
@@ -109,125 +109,62 @@ def _generator_pair(c: str):
     return (1, 0) if c in _GENERATOR_A_WORDS else (0, 1)
 
 
-def _solve_unique(rows, rhs, n_unknowns):
-    """Exact sparse Gauss-Jordan elimination; requires a unique solution.
-
-    rows is a list of {column: coefficient} dicts and rhs the right-hand
-    scalars; returns the solution list.  Each pivot step touches only
-    the nonzeros of the pivot row, in the rows that hold its column.
-    """
-    m = []
-    for row, x in zip(rows, rhs):
-        r = {c: Fraction(v) for c, v in row.items() if v}
-        if x:
-            r[n_unknowns] = Fraction(x)  # the right-hand side as one more column
-        m.append(r)
-    free = list(range(len(m)))
-    piv_rows = []
-    for c in range(n_unknowns):
-        r = next((i for i in free if c in m[i]), None)
-        if r is None:
-            raise InvariantError("block-class system is underdetermined")
-        free.remove(r)
-        pv = m[r][c]
-        pivot = m[r] = {k: x / pv for k, x in m[r].items()}
-        for i, row in enumerate(m):
-            if i == r or c not in row:
-                continue
-            f = row[c]
-            for k, x in pivot.items():
-                y = row.get(k, 0) - f * x
-                if y:
-                    row[k] = y
-                else:
-                    del row[k]
-        piv_rows.append(r)
-    if any(m[i] for i in free):
-        raise InvariantError("block-class system is inconsistent")
-    return [m[r].get(n_unknowns, Fraction(0)) for r in piv_rows]
-
-
 def solve_block_class_table() -> dict:
-    """Classes of factor block words of lengths 1..6, solved from scratch.
+    """Classes of factor block words of lengths 1..6, derived afresh.
 
     Values are (offset, a, b): the class equals a * a_m + b * b_m at
     level m = n + offset when the word sits on the level-n block grid.
     At the anchor offset 1 the generators (three letters) are a_n = (0, 2)
-    and b_n = (1, 1), shorter words sum their right extensions, and the
-    words of 4..6 letters solve one exact linear system.  Equations:
-    one-block left/right splittings, full pair regroupings one level
-    up, and unique boundary completions one level up (the last are
-    needed to pin the two words that straddle next-level block
-    boundaries on both sides).
+    and b_n = (1, 1), and every other class is read off by recursion.
+    Words of one or two letters sum their right extensions.  A word of
+    4..6 letters whose level-1 decomposition completes to the block word
+    c_up satisfies m * V(c) = V(c_up), where m = (0 1; 2 1) promotes
+    coordinates one level up; c_up is shorter, so V(c) = m^-1 * V(c_up).
+    The four-letter words without a level-1 regrouping sum their
+    five-letter right extensions, which regroup to three letters.  So
+    the table is determined by construction, every regrouping relation
+    holds by construction, and the one-block splittings of 2..5 letters
+    on both sides are checked; a word of five or six letters without a
+    regrouping, or a regrouping that does not shorten, is an error.
     """
-    fac = {L: factors_of_length(L) for L in range(1, 7)}
-    fset = {L: set(ws) for L, ws in fac.items()}
+    fset = {L: set(factors_of_length(L)) for L in range(1, 7)}
 
-    known = {}
-    for c in fac[3]:
-        ga, gb = _generator_pair(c)
-        # express at the anchor: a_n = 2 b_{n+1}, b_n = a_{n+1} + b_{n+1}
-        known[c] = (Fraction(gb), Fraction(2 * ga + gb))
-    for c in fac[2] + fac[1]:  # longest first: right extensions are known
-        vs = [known[c + k] for k in "01" if c + k in fset[len(c) + 1]]
-        known[c] = (sum(v[0] for v in vs), sum(v[1] for v in vs))
+    def split(c, left):
+        """Sum of the classes of the one-letter extensions of c on one side."""
+        vs = [value(w) for w in (k + c if left else c + k for k in "01")
+              if w in fset[len(w)]]
+        return sum(v[0] for v in vs), sum(v[1] for v in vs)
 
-    unknowns = [c for L in (4, 5, 6) for c in fac[L]]
-    unknown_set = set(unknowns)
-    # scalar unknowns: components (a, b) of each word class at the anchor
-    col = {c: 2 * i for i, c in enumerate(unknowns)}
-    n_cols = 2 * len(unknowns)
-    rows, rhs = [], []
+    @lru_cache(maxsize=None)
+    def value(c):
+        """(a, b) at the anchor offset 1, as Fractions."""
+        if len(c) == 3:
+            ga, gb = _generator_pair(c)
+            # express at the anchor: a_n = 2 b_{n+1}, b_n = a_{n+1} + b_{n+1}
+            return Fraction(gb), Fraction(2 * ga + gb)
+        if len(c) < 3:
+            return split(c, False)
+        try:
+            d = decompose(c, 1)
+        except LevelError:
+            if len(c) != 4:
+                raise InvariantError(f"{c!r} has no level-1 regrouping") from None
+            return split(c, False)
+        c_up = "".join("01"[bit] for bit in complete_boundaries(d).blocks)
+        if len(c_up) >= len(c):
+            raise InvariantError(f"regrouping {c!r} as {c_up!r} does not shorten it")
+        a, b = value(c_up)
+        return (b - a) / 2, a
 
-    def add_equation(terms):
-        # terms: list of (coefficient 2x2 matrix or scalar, word)
-        for comp in (0, 1):
-            row = {}
-            rh = Fraction(0)
-            for coef, w in terms:
-                if isinstance(coef, tuple):
-                    c_a, c_b = coef[comp]
-                else:
-                    c_a, c_b = (coef, 0) if comp == 0 else (0, coef)
-                if w in unknown_set:
-                    for k, x in ((col[w], c_a), (col[w] + 1, c_b)):
-                        row[k] = row.get(k, 0) + x
-                else:
-                    rh -= c_a * known[w][0] + c_b * known[w][1]
-            if any(row.values()) or rh != 0:
-                rows.append(row)
-                rhs.append(rh)
-
-    # splitting relations: [c] equals the sum over one-block extensions
     for L in (2, 3, 4, 5):
-        for c in fac[L]:
-            for exts in ([c + k for k in "01"], [k + c for k in "01"]):
-                terms = [(Fraction(1), c)]
-                terms += [(Fraction(-1), w) for w in exts if w in fset[L + 1]]
-                add_equation(terms)
-
-    # one level up, coordinates promote by m = (0 1; 2 1): a word whose
-    # level-1 decomposition completes to the block word c_up satisfies
-    # m * V(c) = V(c_up)
-    promote_m = ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(1)))
-    for L in (4, 5, 6):
-        for c in fac[L]:
-            try:
-                d = decompose(c, 1)
-            except LevelError:
-                continue
-            completed = complete_boundaries(d)
-            c_up = "".join("01"[bit] for bit in completed.blocks)
-            add_equation([(promote_m, c), (Fraction(-1), c_up)])
-
-    solved = _solve_unique(rows, rhs, n_cols)
-    for i, c in enumerate(unknowns):
-        known[c] = (solved[2 * i], solved[2 * i + 1])
+        for c in sorted(fset[L]):
+            if not value(c) == split(c, False) == split(c, True):
+                raise InvariantError(f"block-class splitting fails at {c!r}")
 
     table = {}
     for L in range(1, 7):
-        for c in fac[L]:
-            va, vb = known[c]
+        for c in sorted(fset[L]):
+            va, vb = value(c)
             offset = 1
             while va.denominator != 1 or vb.denominator != 1:
                 va, vb = vb, 2 * va + vb

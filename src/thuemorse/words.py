@@ -262,7 +262,7 @@ def _count_step(w: str, n: int) -> int:
     total = 0
     for phase in (0, 1):
         parent = _parent_word(w, phase)
-        if parent is not None and n - phase - len(w) >= 0:
+        if parent is not None:
             total += _prefix_count(parent, (n - phase - len(w)) // 2 + len(parent))
     return total
 

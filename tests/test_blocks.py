@@ -94,10 +94,7 @@ def test_round_trip_and_uniqueness_exhaustive():
         for w in words.factors_of_length(L):
             n_star = blocks.choose_level(w)
             for n in range(n_star + 1):
-                try:
-                    d = blocks.decompose(w, n)
-                except LevelError:
-                    continue
+                d = blocks.decompose(w, n)
                 assert blocks.recompose(d) == w
                 assert _brute_level_splits(w, n) == [(d.gamma0, d.blocks, d.gamma1)]
 

@@ -186,6 +186,8 @@ def test_completion_guards_raise_invariant_errors(capsys, monkeypatch):
 
 def test_usage_errors_exit_two(capsys):
     assert cli.run(["factor", "10a2"]) == 2
+    assert cli.run(["factor", ""]) == 2
+    assert cli.run(["matrix", "1/0", "3"]) == 2
     assert cli.run(["no-such-command"]) == 2
     assert cli.run([]) == 2
     capsys.readouterr()

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thuemorse import blocks, ktheory, trace, words
-from thuemorse.errors import InvariantError, NotAFactorError
+from thuemorse.errors import InvariantError, LevelError, NotAFactorError
 from thuemorse.ktheory import K0Element
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -240,17 +240,25 @@ def test_serialization():
     assert "level" in e.to_json()
 
 
-def test_solver_solves_a_tiny_sparse_system():
-    # 2x + y = 3, x - y = 0, and a redundant x + 2y = 3
-    rows = [{0: 2, 1: 1}, {0: 1, 1: -1}, {0: 1, 1: 2}]
-    assert ktheory._solve_unique(rows, [3, 0, 3], 2) == [1, 1]
+def _refuse_five_letters(w, n):
+    if len(w) == 5 and n == 1:
+        raise LevelError(f"refusing level 1 of {w!r}")
+    return blocks.decompose(w, n)
 
 
-def test_solver_rejects_underdetermined_system():
-    with pytest.raises(InvariantError, match="underdetermined"):
-        ktheory._solve_unique([{0: 1, 1: 1}, {0: 2, 1: 2}], [2, 4], 2)
+def _regroup_011_as_101(d):
+    up = blocks.complete_boundaries(d)
+    return blocks.decompose("101", 0) if up.blocks == (0, 1, 1) else up
 
 
-def test_solver_rejects_inconsistent_system():
-    with pytest.raises(InvariantError, match="inconsistent"):
-        ktheory._solve_unique([{0: 1}, {0: 2}], [1, 3], 1)
+@pytest.mark.parametrize("name, broken", [
+    ("_GENERATOR_A_WORDS", ("010",)),
+    ("_GENERATOR_A_WORDS", ("001", "110")),
+    ("decompose", _refuse_five_letters),
+    ("complete_boundaries", lambda d: blocks.decompose(blocks.recompose(d), 0)),
+    ("complete_boundaries", _regroup_011_as_101),
+], ids=["one-a-word", "swapped", "no-five-letter-regrouping", "no-shrink", "011-as-101"])
+def test_block_class_solver_rejects_broken_relations(monkeypatch, name, broken):
+    monkeypatch.setattr(ktheory, name, broken)
+    with pytest.raises(InvariantError):
+        ktheory.solve_block_class_table()

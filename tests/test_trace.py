@@ -180,6 +180,12 @@ def test_matrix_iterate_validation():
         trace.matrix_iterate(Fraction(2, 3), 1)
     with pytest.raises(ValueError):
         trace.matrix_iterate(SIXTH, -1)
+    with pytest.raises(ValueError):
+        trace.block_trace(2, 0, 1)
+    with pytest.raises(ValueError):
+        trace.block_trace(0, 0, trace.MAX_BLOCK_TRACE_LEVEL + 1)
+    with pytest.raises(ValueError):
+        trace.uniqueness_interval(0)
 
 
 def test_uniqueness_interval_examples():

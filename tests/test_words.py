@@ -50,6 +50,10 @@ def test_slice_validation():
         words.tm_slice(3, 1)
     with pytest.raises(ResourceLimitError):
         words.tm_slice(0, (1 << 26) + 1)
+    with pytest.raises(ValueError):
+        words.occurrences("0", 5, 3)
+    with pytest.raises(ResourceLimitError):
+        words.tm_prefix(words.MAX_SLICE + 1)
 
 
 def test_block_examples():
