@@ -79,8 +79,13 @@ def inclusion_matrix(k: int) -> InclusionMatrix:
 
 
 def trace_vector(k: int) -> list:
-    """Trace of each basis projection at level k, in basis order."""
-    return [trace_range(mu) for mu in af_level(k).basis]
+    """Trace of each basis projection at level k, in basis order, as a new list."""
+    return list(_trace_vector(k))
+
+
+@lru_cache(maxsize=MAX_LEVEL)
+def _trace_vector(k: int) -> tuple:
+    return tuple(trace_range(mu) for mu in af_level(k).basis)
 
 
 def push_trace_down(matrix: InclusionMatrix, upper: list) -> list:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantError, LevelError, NotAFactorError
-from .words import (MAX_CACHED_LENGTH, _bits, _is_binary, block, complement, is_factor,
+from .words import (_SHORT_LEVEL, _bits, _is_binary, block, complement, is_factor,
                     lift, require_factor, short_word_cache, tm_prefix)
 
 
@@ -110,8 +110,8 @@ def _expansion(level: int) -> dict:
     return {0: b0, 1: complement(b0)}
 
 
-# the tables of the 13 levels whose blocks have at most MAX_CACHED_LENGTH letters
-_SHORT_LEVEL = MAX_CACHED_LENGTH.bit_length() - 1
+# the tables of the levels whose block(0, level) `words` caches; each adds
+# only the complement to the cached block
 _short_expansion = lru_cache(maxsize=_SHORT_LEVEL + 1)(_expansion)
 
 

@@ -8,12 +8,18 @@ occurs in the sequence iff, for one of the two possible alignments of
 the substitution grid, its letter pairs de-substitute to a shorter
 factor.
 
-The sequence is held once, as the letter string that `tm_prefix` grows
-by doubling; every window in the package is read off it.  Thue-Morse is
-overlap-free (Thue 1912), so no two occurrences of a word overlap, and
-`str.count` on that string is the exact occurrence count.  Counts in
-long prefixes instead follow the same de-substitution down the
-substitution levels (`_prefix_count`), without building the prefix.
+No prefix of the sequence is held.  The aligned level-k block j of the
+sequence, w[j 2**k] ... w[(j + 1) 2**k - 1], is block(0, k) when w[j] = 0
+and its complement when w[j] = 1 (the sequence is 2-automatic; Allouche &
+Shallit, Automatic Sequences, 2003).  So a window of n letters, at any
+offset, is read off the two aligned blocks of level (n - 1).bit_length()
+that hold it, in O(n + log offset) time and memory.  block(0, k) is
+cached for the 13 levels of at most MAX_CACHED_LENGTH letters, 8191
+letters in all.  Thue-Morse is overlap-free (Thue 1912), so no two
+occurrences of a word overlap, and `str.count` on a window is the exact
+occurrence count.  Counts in long prefixes instead follow the same
+de-substitution down the substitution levels (`_prefix_count`), without
+building the prefix.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from functools import lru_cache, wraps
 from .errors import NotAFactorError, ResourceLimitError
 
 MAX_SLICE = 1 << 26
-MAX_BLOCK_LEVEL = 30
+MAX_BLOCK_LEVEL = 20  # log2 MAX_WORD_LENGTH
 MAX_FACTOR_LENGTH = 64
 # Longest word any word-taking function accepts.  Membership, block
 # decomposition, trace and K0 reduction all run in O(|w|) time and
@@ -43,10 +49,6 @@ def _factor_window(L: int) -> int:
 _COMPLEMENT = str.maketrans("01", "10")
 _DROP_BINARY = str.maketrans("", "", "01")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-# module-level prefix cache, grown by doubling; replaced atomically so
-# concurrent readers only ever see a complete string
-_prefix_cache = "0"
 
 
 def _is_binary(s: str) -> bool:
@@ -95,39 +97,83 @@ def complement(w: str) -> str:
     return w.translate(_COMPLEMENT)
 
 
+# the top level whose block has at most MAX_CACHED_LENGTH letters
+_SHORT_LEVEL = MAX_CACHED_LENGTH.bit_length() - 1
+# block(0, k) for k <= _SHORT_LEVEL, filled on first use.  Each level is
+# doubled from the level below, so the filled levels are 0..m-1 for some
+# m <= 13, at most 2**13 - 1 = 8191 letters.  A level is written whole in
+# one store, so concurrent callers at worst build it twice.
+_short_blocks = ["0"] + [None] * _SHORT_LEVEL
+
+
+def _block0(k: int) -> str:
+    """block(0, k) for any level k >= 0, unchecked: block(0, k - 1)
+    followed by its complement, the package's one doubling step."""
+    b = _short_blocks[k] if k <= _SHORT_LEVEL else None
+    if b is None:
+        b = _block0(k - 1)
+        b += complement(b)
+        if k <= _SHORT_LEVEL:
+            _short_blocks[k] = b
+    return b
+
+
 def tm_prefix(n: int) -> str:
-    """The one-sided prefix w[0] w[1] ... w[n-1]."""
-    global _prefix_cache
-    if n > MAX_SLICE:
+    """The one-sided prefix w[0] w[1] ... w[n-1]: block(0, k)[:n] with 2**k >= n."""
+    if not 0 <= n <= MAX_SLICE:
+        if n < 0:
+            raise ValueError(f"prefix length must be nonnegative, got {n}")
         raise ResourceLimitError(f"prefix length {n} exceeds {MAX_SLICE}")
-    p = _prefix_cache
-    while len(p) < n:
-        p = p + complement(p)
-    if len(p) > len(_prefix_cache):
-        _prefix_cache = p
-    return p[:n]
+    k = (n - 1).bit_length()
+    # the cached level read in place: `blocks._owner` takes a prefix per word
+    b = _short_blocks[k] if k <= _SHORT_LEVEL else None
+    return (b or _block0(k))[:n]
 
 
 def tm_letter(i: int) -> int:
     """Letter at any integer index; negative indices mirror: w[-i] = w[i-1]."""
     if i < 0:
         i = -i - 1
-    return bin(i).count("1") & 1
+    return i.bit_count() & 1
+
+
+def _right_window(lo: int, n: int) -> str:
+    """w[lo] ... w[lo+n-1] for lo >= 0, from two aligned level-k blocks.
+
+    With k = (n - 1).bit_length(), so 2**k >= n, the window lies in the
+    level-k blocks q = lo >> k and q + 1; block j is block(0, k),
+    complemented when w[j] = 1.  Time and memory are O(n + log lo).
+    """
+    k = (n - 1).bit_length()
+    q = lo >> k
+    start = lo - (q << k)
+    b = _block0(k)
+    head = b[start:start + n]
+    if tm_letter(q):
+        head = complement(head)
+    if len(head) == n:
+        return head
+    tail = b[:n - len(head)]
+    return head + (complement(tail) if tm_letter(q + 1) else tail)
 
 
 def tm_slice(lo: int, hi: int) -> str:
-    """The word w[lo] w[lo+1] ... w[hi-1] over two-sided indices."""
+    """The word w[lo] w[lo+1] ... w[hi-1] over two-sided indices.
+
+    Any window of at most MAX_SLICE letters at any offset, in
+    O(hi - lo + log |lo|) time and memory; no prefix is built.  Indices
+    below 0 follow the mirror rule w[-i] = w[i-1], so the part left of 0
+    is a right-hand window read backwards.
+    """
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi})")
     if hi - lo > MAX_SLICE:
         raise ResourceLimitError(f"slice length {hi - lo} exceeds {MAX_SLICE}")
     if lo >= 0:
-        return tm_prefix(hi)[lo:hi]
-    # negative part: w[lo..min(hi,0)-1] is a reversed segment of the prefix
-    neg = tm_prefix(-lo)[max(0, -hi):-lo][::-1]
+        return _right_window(lo, hi - lo)
     if hi <= 0:
-        return neg
-    return neg + tm_prefix(hi)
+        return _right_window(-hi, hi - lo)[::-1]
+    return tm_prefix(-lo)[::-1] + tm_prefix(hi)
 
 
 def block(i: int, n: int) -> str:
@@ -138,10 +184,8 @@ def block(i: int, n: int) -> str:
         raise ValueError("level must be nonnegative")
     if n > MAX_BLOCK_LEVEL:
         raise ResourceLimitError(f"level {n} exceeds {MAX_BLOCK_LEVEL}")
-    b = "01"[i]
-    for _ in range(n):
-        b = b + complement(b)
-    return b
+    b = _block0(n)
+    return complement(b) if i else b
 
 
 def keane_product(b: str, c: str) -> str:

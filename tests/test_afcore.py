@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from thuemorse import afcore, extensions, words
+from thuemorse import afcore, extensions, trace, words
 from thuemorse.errors import ResourceLimitError
 
 
@@ -34,6 +34,8 @@ def test_level_validation():
             afcore.bratteli_data(k)
         with pytest.raises(ResourceLimitError):
             afcore.bratteli_dot(k)
+        with pytest.raises(ResourceLimitError):
+            afcore.trace_vector(k)
 
 
 def test_inclusion_matrix_columns():
@@ -74,6 +76,19 @@ def test_trace_vector_entry():
     basis = afcore.af_level(2).basis
     vec = afcore.trace_vector(2)
     assert vec[basis.index("1001")] == Fraction(1, 6)
+
+
+def test_trace_vector_is_the_trace_of_each_basis_word():
+    for k in range(1, afcore.MAX_LEVEL + 1):
+        assert afcore.trace_vector(k) == [trace.trace_range(mu) for mu in afcore.af_level(k).basis]
+
+
+def test_trace_vector_returns_a_new_list():
+    vec = afcore.trace_vector(3)
+    expected = list(vec)
+    vec[0] = Fraction(7)
+    vec.append(Fraction(1))
+    assert afcore.trace_vector(3) == expected
 
 
 def test_trace_vectors_sum_to_one():

@@ -151,6 +151,10 @@ OVER_CAP = "0" * (words.MAX_WORD_LENGTH + 1)
     (["rep-check", "--window", "45590", "--maxlen", "8"], 1),
     # 6 392 factors of <= 64 letters x 1 025 entries, inside the cap
     (["rep-check", "--window", "512", "--maxlen", "64"], 0),
+    # any offset, on either side of 0; only the length is capped
+    (["slice", str(1 << 40), str((1 << 40) + 10)], 0),
+    (["slice", "-70000000", "-69999990"], 0),
+    (["slice", "0", str((1 << 26) + 1)], 1),
 ])
 def test_boundary_values(capsys, argv, code):
     got, payload = run_json(capsys, argv)

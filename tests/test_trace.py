@@ -105,7 +105,7 @@ def test_block_route_matches_peeling_exhaustive():
        st.integers(min_value=2, max_value=1500))
 @settings(max_examples=40, deadline=None)
 def test_block_route_matches_peeling_on_far_long_factors(start, length):
-    # letters from the digit-sum rule, far beyond the reach of tm_slice
+    # letters from the digit-sum rule, independently of tm_slice's blocks
     w = "".join("01"[words.tm_letter(i)] for i in range(start, start + length))
     block, peel, k0 = _three_routes(w)
     assert block == peel == k0
@@ -278,9 +278,10 @@ def test_frequency_equals_the_count_in_the_prefix():
 
 
 def test_frequency_builds_no_prefix_and_keeps_its_memo_bounded(monkeypatch):
-    monkeypatch.setattr(words, "_prefix_cache", "0")
+    empty = [words._short_blocks[0]] + [None] * words._SHORT_LEVEL
+    monkeypatch.setattr(words, "_short_blocks", empty)
     assert abs(trace.frequency("0110", 1 << 26) - SIXTH) <= Fraction(1, 10 ** 4)
-    assert len(words._prefix_cache) <= 4096
+    assert sum(len(b) for b in words._short_blocks if b) <= 4096
     N = 1 << 20
     prefix = words.tm_prefix(N)
     long_words = {prefix[4099 * k:4099 * k + 4096] for k in range(200)}

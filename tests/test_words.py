@@ -1,14 +1,29 @@
 import itertools
-
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thuemorse import words
 from thuemorse.errors import NotAFactorError, ResourceLimitError
 
 binary_words = st.text(alphabet="01", min_size=1, max_size=40)
+
+
+def _popcount_letters(lo, hi):
+    """w[lo..hi-1] from binary digit sums and the mirror rule, letter by letter."""
+    return "".join(str(bin(-i - 1 if i < 0 else i).count("1") & 1) for i in range(lo, hi))
+
+
+def _peak_bytes(fn, *args):
+    """The peak of memory traced while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_letter_examples():
@@ -45,6 +60,32 @@ def test_slice_matches_oracle(oracle_prefix):
         assert words.tm_slice(lo, hi) == expected
 
 
+def test_slice_near_zero_matches_oracle(oracle_prefix):
+    # every window start in [-300, 3000) at lengths 0, 1, 5 and 64
+    window = oracle_prefix[:300][::-1] + oracle_prefix[:3064]
+    for lo in range(-300, 3000):
+        for n in (0, 1, 5, 64):
+            assert words.tm_slice(lo, lo + n) == window[lo + 300:lo + 300 + n], (lo, n)
+
+
+@given(st.integers(min_value=1 - (1 << 62), max_value=(1 << 62) - 1),
+       st.integers(min_value=0, max_value=300))
+@settings(max_examples=300, deadline=None)
+def test_slice_at_any_offset_matches_popcount_letters(lo, n):
+    assert words.tm_slice(lo, lo + n) == _popcount_letters(lo, lo + n)
+
+
+def test_far_slices_build_no_prefix():
+    for lo in ((1 << 26) - 10, 1 << 40, -(1 << 40)):
+        assert _peak_bytes(words.tm_slice, lo, lo + 10) < 64 * 1024, lo
+    # a long window holds at most a few strings of about its own length
+    for n in (1 << 16, (1 << 16) + 1, 3 << 15, (1 << 17) + 1):
+        for lo in (0, 12345, (1 << 40) + 3, -(n // 2), -n - 99):
+            assert _peak_bytes(words.tm_slice, lo, lo + n) <= 10 * n + 64 * 1024, (lo, n)
+    # the block cache keeps block(0, k) for k <= 12 only
+    assert sum(len(b) for b in words._short_blocks if b) <= (1 << 13) - 1
+
+
 def test_slice_validation():
     with pytest.raises(ValueError):
         words.tm_slice(3, 1)
@@ -54,6 +95,8 @@ def test_slice_validation():
         words.occurrences("0", 5, 3)
     with pytest.raises(ResourceLimitError):
         words.tm_prefix(words.MAX_SLICE + 1)
+    with pytest.raises(ValueError):
+        words.tm_prefix(-1)
 
 
 def test_block_examples():
@@ -66,9 +109,14 @@ def test_block_examples():
         assert words.block(1, n) == words.complement(words.block(0, n))
 
 
-def test_block_validation():
+def test_block_validation(oracle_prefix):
     with pytest.raises(ValueError):
         words.block(2, 1)
+    # the top level, log2 MAX_WORD_LENGTH, holds 2**20 letters
+    top = words.block(0, 20)
+    assert len(top) == words.MAX_WORD_LENGTH and top.startswith(oracle_prefix)
+    with pytest.raises(ResourceLimitError):
+        words.block(0, 21)
     with pytest.raises(ResourceLimitError):
         words.block(0, 31)
 
@@ -264,6 +312,10 @@ def test_occurrences_two_sided(oracle_prefix):
     assert occ == [-4, 0]
     for i in occ:
         assert words.tm_slice(i, i + 4) == "0110"
+    lo = 1 << 30
+    letters = _popcount_letters(lo, lo + 100)
+    assert words.occurrences("0110", lo, lo + 100) == [
+        lo + p for p in range(97) if letters[p:p + 4] == "0110"]
 
 
 def test_base_factor_window_is_safe(oracle_factors):
