@@ -57,11 +57,17 @@ def promote(e: K0Element) -> K0Element:
 
 
 def normal_form(e: K0Element) -> K0Element:
-    """Demote to the minimal level at which the element has a representative."""
-    level, a, b = e.level, e.a, e.b
-    while level > 0 and (b - a) % 2 == 0:
-        level, a, b = level - 1, (b - a) // 2, a
-    return K0Element(level, a, b)
+    """Demote to the minimal level at which the element has a representative.
+
+    In s = a + b and d = 2a - b, promotion sends (s, d) to (2s, -d), so
+    demotion halves s and flips d while s is even: j = min(level, v2(s))
+    levels at once, or every level when s = 0.  Then a = (s + d)/3 and
+    b = (2s - d)/3 are exact, since s + d = 3a and (-2)^j = 1 (mod 3).
+    """
+    s, d = e.a + e.b, 2 * e.a - e.b
+    j = e.level if s == 0 else min(e.level, (s & -s).bit_length() - 1)
+    s, d = s >> j, -d if j & 1 else d
+    return K0Element(e.level - j, (s + d) // 3, (2 * s - d) // 3)
 
 
 def k0_equal(e1: K0Element, e2: K0Element) -> bool:
@@ -69,11 +75,15 @@ def k0_equal(e1: K0Element, e2: K0Element) -> bool:
 
 
 def k0_add(e1: K0Element, e2: K0Element) -> K0Element:
-    while e1.level < e2.level:
-        e1 = promote(e1)
-    while e2.level < e1.level:
-        e2 = promote(e2)
-    return normal_form(K0Element(e1.level, e1.a + e2.a, e1.b + e2.b))
+    """Sum in normal form.  Both sides reach the higher level in one step:
+    k promotions send (s, d) to (2^k s, (-1)^k d)."""
+    level = max(e1.level, e2.level)
+    s = d = 0
+    for e in (e1, e2):
+        k = level - e.level
+        s += (e.a + e.b) << k
+        d += (e.b - 2 * e.a) if k & 1 else (2 * e.a - e.b)
+    return normal_form(K0Element(level, (s + d) // 3, (2 * s - d) // 3))
 
 
 def k0_neg(e: K0Element) -> K0Element:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
-from .words import _check_word, factors_of_length, require_factor, tm_slice
+from .words import _check_word, _factors_upto, require_factor, tm_slice
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -111,15 +111,16 @@ def range_projection(alpha: str, W: int) -> WindowOperator:
 
     _check_width(W)
     _check_window_word(alpha, W, allow_empty=True)
-    diag = _array(_range_diagonal(alpha, W), 2 * W + 1)
+    diag = _array(_range_diagonal(alpha, W, int(tm_slice(-W, W)[::-1], 2)), 2 * W + 1)
     return WindowOperator(W, sparse.csr_matrix(sparse.diags(diag, dtype="int64")))
 
 
-def _range_diagonal(alpha: str, W: int) -> int:
-    # bit c of ones[a] >> k is [x[c + k - W] = a] (0 past the string's
-    # end), so the AND over k marks the starts of alpha in x[-W..W-1] and
-    # the shift by |alpha| moves each start c to its end, bit n + W
-    one = int(tm_slice(-W, W)[::-1], 2)
+def _range_diagonal(alpha: str, W: int, one: int) -> int:
+    # bit n + W of `one` is [x[n] = 1] for n in [-W, W-1], read apart from
+    # _letters, so masks and diagonals are two readings of the sequence.
+    # Bit c of ones[a] >> k is [x[c + k - W] = a] (0 past the end), so the
+    # AND over k marks the starts of alpha in x[-W..W-1] and the shift by
+    # |alpha| moves each start c to its end, bit n + W
     ones = (one ^ _ones(2 * W), one)
     diag = _ones(2 * W + 1)
     for k, a in enumerate(alpha):
@@ -139,12 +140,13 @@ def axiom_residuals(W: int, maxlen: int) -> dict:
     _check_width(W)
     if maxlen < 1 or maxlen > W // 8:
         raise ValueError("maxlen must lie in [1, W/8]")
-    words = [w for L in range(1, maxlen + 1) for w in factors_of_length(L)]
+    words = _factors_upto(maxlen)
     size = 2 * W + 1
     if len(words) * size > MAX_RESIDUAL_CELLS:
         raise ResourceLimitError(
             f"{len(words)} range diagonals of {size} entries exceed {MAX_RESIDUAL_CELLS}")
-    diag = {w: _range_diagonal(w, W) for w in words}
+    one = int(tm_slice(-W, W)[::-1], 2)
+    diag = {w: _range_diagonal(w, W, one) for w in words}
     # bit n + W of mask[a] is [x[n-1] = a]: T_a is the superdiagonal mask[a]
     # >> 1, and entry (n-1, n) of a product sits at bit n - 1 of the
     # vectors read at n (shifted right by one) and at n-1 (unshifted)

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .blocks import _signature
 from .errors import ResourceLimitError
-from .words import (_check_word, _prefix_count, complement, factors_of_length, is_factor,
+from .words import (_check_word, _factors_upto, _prefix_count, complement, is_factor,
                     require_factor)
 
 MAX_FREQUENCY_WINDOW = 1 << 26
@@ -53,8 +53,7 @@ def _peel(w: str) -> Fraction:
     return value
 
 
-_BLOCK_WORD_TRACE = {c: _peel(c) for L in range(1, MAX_PEEL_LENGTH + 1)
-                     for c in factors_of_length(L)}
+_BLOCK_WORD_TRACE = {c: _peel(c) for c in _factors_upto(MAX_PEEL_LENGTH)}
 
 
 # keys are signatures: at most 21 levels times 50 block words
@@ -119,43 +118,31 @@ def block_trace(i: int, j: int, n: int) -> Fraction:
 def matrix_iterate(t, n: int):
     """Level-n pair (value of 00-blocks, value of 01-blocks) given t at level 0.
 
-    Computed both by the diagonalized closed form with eigenvalues 1/2
-    and -1 and by exact iteration of the inverse step matrix
-    (-1/2 1/2; 1 0); the two must agree.
+    The inverse step matrix (-1/2 1/2; 1 0) has eigenvalues 1/2 and -1,
+    so with u = 3t - 1/2 the pair is ((2^-(n+1) + (-1)^n u)/3,
+    (2^-n - (-1)^n u)/3), read off without iterating.
     """
     t = Fraction(t)
     if not 0 <= t <= _HALF:
         raise ValueError("t must lie in [0, 1/2]")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    u = 3 * t - _HALF
-    sign = 1 if n % 2 == 0 else -1
-    closed = ((_HALF ** (n + 1) + u * sign) / 3, (_HALF ** n - u * sign) / 3)
-    x, y = t, _HALF - t
-    for _ in range(n):
-        x, y = (y - x) / 2, x
-    if (x, y) != closed:
-        raise AssertionError(f"closed form {closed} != iterated {(x, y)}")
-    return closed
+    u = (3 * t - _HALF) * (-1) ** n
+    return ((_HALF ** (n + 1) + u) / 3, (_HALF ** n - u) / 3)
 
 
 def uniqueness_interval(N: int):
     """The open interval of t with both level-n values positive for n <= N.
 
-    Shrinks to the single admissible value 1/6 as N grows; the width is
-    at most 2**-N.
+    Level n asks u = 3t - 1/2 to lie in (-2^-(n+1), 2^-n) for even n and
+    in (-2^-n, 2^-(n+1)) for odd n.  These intervals are nested, so level
+    N alone fixes the answer.  It shrinks to the single admissible value
+    1/6 as N grows; the width is at most 2**-N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    lo_u, hi_u = Fraction(-1), Fraction(1)
-    for n in range(N + 1):
-        if n % 2 == 0:
-            lo_u = max(lo_u, -(_HALF ** (n + 1)))
-            hi_u = min(hi_u, _HALF ** n)
-        else:
-            lo_u = max(lo_u, -(_HALF ** n))
-            hi_u = min(hi_u, _HALF ** (n + 1))
-    return ((lo_u + _HALF) / 3, (hi_u + _HALF) / 3)
+    odd = N % 2
+    return ((_HALF - _HALF ** (N + 1 - odd)) / 3, (_HALF + _HALF ** (N + odd)) / 3)
 
 
 def frequency(w: str, N: int) -> Fraction:

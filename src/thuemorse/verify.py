@@ -21,13 +21,6 @@ def _result(name: str, ok: bool, detail: str) -> dict:
     return {"name": name, "ok": bool(ok), "detail": detail}
 
 
-def _all_factors_upto(max_len: int) -> list:
-    out = []
-    for L in range(1, max_len + 1):
-        out.extend(words.factors_of_length(L))
-    return out
-
-
 def check_trace_values(quick: bool) -> dict:
     """Pinned exact trace values at lengths 2, 3 and the 22-letter example."""
     expected = {
@@ -82,7 +75,8 @@ def check_trace_axioms(quick: bool) -> dict:
 
 
 def check_uniqueness_certificate(quick: bool) -> dict:
-    """Nested positivity intervals shrinking to 1/6; closed form at 1/6."""
+    """Nested positivity intervals shrinking to 1/6; the closed form of the
+    value matrix at 1/6 against its exact iteration."""
     n_max = 20 if quick else 30
     sixth = Fraction(1, 6)
     prev = None
@@ -95,10 +89,12 @@ def check_uniqueness_certificate(quick: bool) -> dict:
         if prev is not None and not (prev[0] <= lo and hi <= prev[1]):
             return _result("uniqueness", False, f"not nested at N={n}")
         prev = (lo, hi)
+    x, y = sixth, Fraction(1, 3)  # exact iteration of the inverse step matrix
     for n in range(n_max + 1):
-        got = trace.matrix_iterate(sixth, n)
-        if got != (Fraction(1, 6 * 2 ** n), Fraction(1, 3 * 2 ** n)):
+        expected = (Fraction(1, 6 * 2 ** n), Fraction(1, 3 * 2 ** n))
+        if not trace.matrix_iterate(sixth, n) == (x, y) == expected:
             return _result("uniqueness", False, f"closed form fails at n={n}")
+        x, y = (y - x) / 2, x
     return _result("uniqueness", True, f"N <= {n_max}")
 
 
@@ -108,7 +104,7 @@ def check_ergodic_oracle(quick: bool) -> dict:
     max_len = 6 if quick else 8
     tol = Fraction(1, 100)
     worst = Fraction(0)
-    for w in _all_factors_upto(max_len):
+    for w in words._factors_upto(max_len):
         gap = abs(trace.trace_range(w) - trace.frequency(w, window))
         worst = max(worst, gap)
         if gap > tol:
@@ -228,7 +224,7 @@ def check_k_theory(quick: bool) -> dict:
     if solved != ktheory.BLOCK_CLASS_TABLE:
         bad = sorted(set(solved.items()) ^ set(ktheory.BLOCK_CLASS_TABLE.items()))
         return _result("k-theory", False, f"pinned block-class table differs at {bad[0]}")
-    for w in _all_factors_upto(max_len):
+    for w in words._factors_upto(max_len):
         if ktheory.evaluate(ktheory.reduce_class(w)) != trace.trace_range(w):
             return _result("k-theory", False, f"evaluation fails at {w}")
     K = ktheory.K0Element
@@ -279,7 +275,7 @@ def check_representation(quick: bool) -> dict:
     if any(v != 0 for v in res.values()):
         return _result("representation", False, f"residuals {res}")
     tol = Fraction(1, 100)
-    for w in _all_factors_upto(trace_len):
+    for w in words._factors_upto(trace_len):
         gap = abs(repwindow.empirical_trace(w, w_trace) - trace.trace_range(w))
         if gap > tol:
             return _result("representation", False, f"empirical gap {gap} at {w}")

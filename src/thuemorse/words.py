@@ -219,7 +219,7 @@ _BASE_LENGTH = 8
 
 @lru_cache(maxsize=1)
 def _base_factors() -> frozenset:
-    return frozenset(w for L in range(1, _BASE_LENGTH + 1) for w in factors_of_length(L))
+    return frozenset(_factors_upto(_BASE_LENGTH))
 
 
 # 3.6 times the 2.2k words (queries and their de-substituted parents)
@@ -337,6 +337,11 @@ def factors_of_length(L: int) -> list:
         raise ResourceLimitError(f"length {L} exceeds {MAX_FACTOR_LENGTH}")
     window = tm_prefix(_factor_window(L))
     return sorted({window[i:i + L] for i in range(len(window) - L + 1)})
+
+
+def _factors_upto(max_len: int) -> list:
+    """All factors of 1..max_len letters, by length, then sorted."""
+    return [w for L in range(1, max_len + 1) for w in factors_of_length(L)]
 
 
 def occurrences(w: str, lo: int, hi: int) -> list:

@@ -36,6 +36,11 @@ def test_level_validation():
             afcore.bratteli_dot(k)
         with pytest.raises(ResourceLimitError):
             afcore.trace_vector(k)
+    # level k maps into k + 1, so the top level has no inclusion matrix
+    with pytest.raises(ResourceLimitError):
+        afcore.inclusion_matrix(afcore.MAX_LEVEL)
+    with pytest.raises(ValueError, match="vector length"):
+        afcore.push_trace_down(afcore.inclusion_matrix(1), afcore.trace_vector(1))
 
 
 def test_inclusion_matrix_columns():

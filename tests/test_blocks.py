@@ -68,6 +68,8 @@ def test_domain_errors():
         blocks.rewrite_five([0, 1, 1, 0, 0], -1)
     with pytest.raises(NotAFactorError):
         blocks.rewrite_five([1, 1, 1, 0, 0], 0)
+    with pytest.raises(ValueError, match="at least two full blocks"):
+        blocks.complete_boundaries(blocks.BlockDecomposition(1, "", (0,), ""))
 
 
 def test_choose_level_examples():

@@ -75,6 +75,8 @@ def test_matrix_interval(capsys):
 def test_matrix_requires_arguments(capsys):
     code, payload = run_json(capsys, ["matrix"])
     assert code == 1 and "error" in payload
+    code, payload = run_json(capsys, ["matrix", "1/6", "3", "--interval", "8"])
+    assert code == 1 and payload["error"] == "--interval cannot be combined with T N"
 
 
 def test_bratteli(capsys):

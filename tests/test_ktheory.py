@@ -14,6 +14,39 @@ levels = st.integers(min_value=0, max_value=8)
 elements = st.builds(K0Element, levels, small_ints, small_ints)
 
 
+def _promoted(e, k):
+    for _ in range(k):
+        e = ktheory.promote(e)
+    return e
+
+
+def _normal_form_by_loop(e):
+    """The level-by-level demotion that normal_form's closed form replaces."""
+    level, a, b = e.level, e.a, e.b
+    while level > 0 and (b - a) % 2 == 0:
+        level, a, b = level - 1, (b - a) // 2, a
+    return K0Element(level, a, b)
+
+
+def _k0_add_by_loop(e1, e2):
+    """The level-by-level promotion that k0_add's closed form replaces."""
+    e1, e2 = _promoted(e1, e2.level - e1.level), _promoted(e2, e1.level - e2.level)
+    return _normal_form_by_loop(K0Element(e1.level, e1.a + e2.a, e1.b + e2.b))
+
+
+deep_levels = st.integers(min_value=0, max_value=64)
+huge_ints = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+deep_elements = st.one_of(
+    st.builds(K0Element, deep_levels, huge_ints, huge_ints),
+    # a + b = 0 demotes every level; a promoted element has a + b with
+    # as many factors of 2 as promotions
+    st.builds(lambda n, a: K0Element(n, a, -a), deep_levels, huge_ints),
+    st.builds(lambda n, a, b, k: _promoted(K0Element(n, a, b), k),
+              st.integers(min_value=0, max_value=32), huge_ints, huge_ints,
+              st.integers(min_value=0, max_value=32)),
+)
+
+
 def test_promote_examples():
     assert ktheory.promote(K0Element(0, 1, 0)) == K0Element(1, 0, 2)
     assert ktheory.promote(K0Element(0, 0, 1)) == K0Element(1, 1, 1)
@@ -30,6 +63,25 @@ def test_normal_form():
 def test_promote_preserves_identity(e):
     assert ktheory.k0_equal(e, ktheory.promote(e))
     assert ktheory.normal_form(ktheory.promote(e)) == ktheory.normal_form(e)
+
+
+@given(deep_elements, deep_elements)
+def test_closed_forms_match_the_level_loops(e1, e2):
+    assert ktheory.normal_form(e1) == _normal_form_by_loop(e1)
+    assert ktheory.k0_add(e1, e2) == _k0_add_by_loop(e1, e2)
+
+
+def test_k0_add_across_a_level_gap_promotes_in_one_step(monkeypatch):
+    calls = []
+    promote = ktheory.promote
+    monkeypatch.setattr(ktheory, "promote", lambda e: calls.append(e) or promote(e))
+    got = ktheory.k0_add(K0Element(0, 1, 2), K0Element(10 ** 5, 3, 1))
+    assert calls == []
+    # by hand, with s = a + b and d = 2a - b: at level 10**5 the sum has
+    # s = 3 * 2**(10**5) + 4 and d = 0 + 5; v2(s) = 2 levels demote, to
+    # s = 3h + 1 with h = 2**(10**5 - 2), and a = (s + d)/3, b = (2s - d)/3
+    h = 2 ** (10 ** 5 - 2)
+    assert got == K0Element(10 ** 5 - 2, h + 2, 2 * h - 1)
 
 
 @given(elements, elements)

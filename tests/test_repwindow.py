@@ -153,12 +153,12 @@ def _sparse_residuals(W, maxlen):
 
 @pytest.mark.parametrize("fault, flips", [
     (None, None),
-    ("_range_diagonal", lambda alpha, width: alpha == "01"),
+    ("_range_diagonal", lambda alpha, width, one: alpha == "01"),
     ("_letters", lambda width: True),
     # r(0110) gains a position outside r(110): the top step of the suffix chain
-    ("_range_diagonal", lambda alpha, width: alpha == "0110"),
+    ("_range_diagonal", lambda alpha, width, one: alpha == "0110"),
     # r(0101) gains a position inside r(101) and r(1101): only disjointness sees it
-    ("_range_diagonal", lambda alpha, width: alpha == "0101"),
+    ("_range_diagonal", lambda alpha, width, one: alpha == "0101"),
 ], ids=["none", "diagonal-entry", "letter", "top-diagonal-entry", "same-length-overlap"])
 def test_vector_residuals_match_sparse_products(monkeypatch, fault, flips):
     if fault:

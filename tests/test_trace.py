@@ -167,12 +167,16 @@ def test_matrix_iterate_examples():
 
 def test_matrix_iterate_closed_form_is_checked_deeply():
     for t in (Fraction(0), SIXTH, Fraction(1, 4), Fraction(1, 2)):
+        x, y = t, Fraction(1, 2) - t
         for n in range(41):
             b1, b2 = trace.matrix_iterate(t, n)
             u = 3 * t - Fraction(1, 2)
             sign = (-1) ** n
             assert 3 * b1 == Fraction(1, 2) ** (n + 1) + u * sign
             assert 3 * b2 == Fraction(1, 2) ** n - u * sign
+            # exact iteration of the inverse step matrix (-1/2 1/2; 1 0)
+            assert (b1, b2) == (x, y)
+            x, y = (y - x) / 2, x
 
 
 def test_matrix_iterate_validation():
@@ -207,6 +211,19 @@ def test_uniqueness_interval_nesting_and_width():
     for t in trace.uniqueness_interval(6):
         values = [trace.matrix_iterate(t, n) for n in range(8)]
         assert any(b1 <= 0 or b2 <= 0 for b1, b2 in values)
+
+
+def test_uniqueness_interval_matches_the_level_loop():
+    # the loop over levels n <= N that the closed form replaces
+    half = Fraction(1, 2)
+    lo_u, hi_u = Fraction(-1), Fraction(1)
+    for n in range(201):
+        if n % 2 == 0:
+            lo_u, hi_u = max(lo_u, -(half ** (n + 1))), min(hi_u, half ** n)
+        else:
+            lo_u, hi_u = max(lo_u, -(half ** n)), min(hi_u, half ** (n + 1))
+        if n >= 1:
+            assert trace.uniqueness_interval(n) == ((lo_u + half) / 3, (hi_u + half) / 3)
 
 
 def test_uniqueness_interval_is_the_exact_positivity_set():

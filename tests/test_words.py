@@ -112,6 +112,8 @@ def test_block_examples():
 def test_block_validation(oracle_prefix):
     with pytest.raises(ValueError):
         words.block(2, 1)
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        words.block(0, -1)
     # the top level, log2 MAX_WORD_LENGTH, holds 2**20 letters
     top = words.block(0, 20)
     assert len(top) == words.MAX_WORD_LENGTH and top.startswith(oracle_prefix)
