@@ -17,8 +17,9 @@ the cache holds 512 chains of at most |w| block letters each.
 
 Decompositions that `decompose` and `complete_boundaries` read off the
 chain skip `BlockDecomposition.__post_init__` and are not re-validated;
-`recompose`, the brute-force split oracle of `verify` and the tests
-check them instead.
+`recompose`, the split tables of `verify` (every split of every factor
+of one length at one level, by bitset matching, with no lift chain) and
+the tests check them instead.
 
 The signature (n, c) of a factor is its top level n and the block word
 c of 2..6 letters that completes the chain's top entry, with no
@@ -105,22 +106,27 @@ def _trusted(level: int, gamma0: str, blocks: tuple, gamma1: str) -> BlockDecomp
     return d
 
 
-def _expansion(level: int) -> dict:
+def _expansion(level: int) -> tuple:
     b0 = block(0, level)
-    return {0: b0, 1: complement(b0)}
+    return b0, complement(b0)
 
 
-# the tables of the levels whose block(0, level) `words` caches; each adds
+# the pairs of the levels whose block(0, level) `words` caches; each adds
 # only the complement to the cached block
 _short_expansion = lru_cache(maxsize=_SHORT_LEVEL + 1)(_expansion)
+_LETTERS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def recompose(d: BlockDecomposition) -> str:
     """Expand a decomposition back into the word it describes."""
     n = d.level
+    if n == 0:
+        # the block letters are the word: one byte translate
+        return d.gamma0 + bytes(d.blocks).translate(_LETTERS).decode() + d.gamma1
+    # a join of the two blocks: str.translate to multi-letter values takes
+    # CPython's slow path, about twice as long at level 1
     expand = _short_expansion(n) if n <= _SHORT_LEVEL else _expansion(n)
-    # block letters as the code points 0 and 1, each translated to its block
-    return d.gamma0 + bytes(d.blocks).decode("latin-1").translate(expand) + d.gamma1
+    return d.gamma0 + "".join([expand[b] for b in d.blocks]) + d.gamma1
 
 
 # 512 entries of at most |w| <= MAX_CACHED_LENGTH block letters each

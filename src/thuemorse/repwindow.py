@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
-from .words import _check_word, _factors_upto, require_factor, tm_slice
+from .words import _check_word, _factors_upto, _prefix_count, require_factor, tm_slice
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -195,11 +195,19 @@ def axiom_residuals(W: int, maxlen: int) -> dict:
 def empirical_trace(alpha: str, W: int) -> Fraction:
     """Normalized diagonal count of the range projection of alpha.
 
-    The count of alpha in the letters x[-W..W-1]; overlap-freeness makes
-    str.count's non-overlapping count the full one.
+    The count of alpha in the letters x[-W..W-1], without building them:
+    `_prefix_count` counts the starts in x[0..W-1], the same count of the
+    reversed word counts those in x[-W..-1] (mirror rule x[-i] = x[i-1]),
+    and `str.count` on x[1-|alpha|..|alpha|-2] those that straddle 0;
+    overlap-freeness makes its non-overlapping count the full one.
+    Time and memory are O(|alpha| + log W) beyond the counter's memo.
     """
     _check_width(W)
     _check_window_word(alpha, W, allow_empty=True)
-    if alpha:
-        require_factor(alpha)
-    return Fraction(tm_slice(-W, W).count(alpha), 2 * W + 1 - len(alpha))
+    if not alpha:
+        return Fraction(1)
+    require_factor(alpha)
+    m = len(alpha)
+    count = (_prefix_count(alpha, W) + _prefix_count(alpha[::-1], W)
+             + tm_slice(1 - m, m - 1).count(alpha))
+    return Fraction(count, 2 * W + 1 - m)

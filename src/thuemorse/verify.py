@@ -3,9 +3,10 @@
 Each check re-derives an exact identity at desk scale and returns a
 (name, ok, detail) triple.  Quick mode shrinks the bounds; full mode
 runs the documented sizes.  As a CLI process on a shared 2-core x86
-host under Python 3.11, `verify --quick` took 0.15-0.18 s and
-`verify --full` 0.44-0.56 s (median 0.47 s) over seven runs each, most
-of it the exhaustive decomposition loop of `check_combinatorics`.
+host under Python 3.11, `verify --quick` took 0.15-0.22 s (median
+0.17 s) and `verify --full` 0.26-0.45 s (median 0.31 s) over seven runs
+each, most of it the exhaustive decomposition loop of
+`check_combinatorics`.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def check_trace_axioms(quick: bool) -> dict:
 
 def check_uniqueness_certificate(quick: bool) -> dict:
     """Nested positivity intervals shrinking to 1/6; the closed form of the
-    value matrix at 1/6 against its exact iteration."""
+    value matrix against its exact iteration at t = 1/6, 0 and 1/2, and its
+    pinned values at 1/6."""
     n_max = 20 if quick else 30
     sixth = Fraction(1, 6)
     prev = None
@@ -89,12 +91,18 @@ def check_uniqueness_certificate(quick: bool) -> dict:
         if prev is not None and not (prev[0] <= lo and hi <= prev[1]):
             return _result("uniqueness", False, f"not nested at N={n}")
         prev = (lo, hi)
-    x, y = sixth, Fraction(1, 3)  # exact iteration of the inverse step matrix
+    # the closed form against the exact iteration of the inverse step
+    # matrix from (t, 1/2 - t): at 1/6 the (-1)^n term vanishes, so the
+    # ends of [0, 1/2] check its sign
+    for t in (sixth, Fraction(0), Fraction(1, 2)):
+        x, y = t, Fraction(1, 2) - t
+        for n in range(n_max + 1):
+            if trace.matrix_iterate(t, n) != (x, y):
+                return _result("uniqueness", False, f"closed form fails at t={t}, n={n}")
+            x, y = (y - x) / 2, x
     for n in range(n_max + 1):
-        expected = (Fraction(1, 6 * 2 ** n), Fraction(1, 3 * 2 ** n))
-        if not trace.matrix_iterate(sixth, n) == (x, y) == expected:
+        if trace.matrix_iterate(sixth, n) != (Fraction(1, 6 * 2 ** n), Fraction(1, 3 * 2 ** n)):
             return _result("uniqueness", False, f"closed form fails at n={n}")
-        x, y = (y - x) / 2, x
     return _result("uniqueness", True, f"N <= {n_max}")
 
 
@@ -113,41 +121,71 @@ def check_ergodic_oracle(quick: bool) -> dict:
                    f"max gap {worst} <= 1/100 over lengths <= {max_len}")
 
 
-@lru_cache(maxsize=8)
-def _level_tables(n: int) -> tuple:
-    """Block size, the suffixes and the prefixes shorter than a block
-    (the empty one included) of the two level-n blocks, and the translate
-    table that expands a letter to its block."""
+@lru_cache(maxsize=16)
+def _level_masks(text: str, n: int) -> tuple:
+    """Bitsets over the starts s = 0..len(text) of the level-n pieces of text.
+
+    Bit s of `full` is set where text[s:s + 2**n] is a level-n block, bit
+    s of `suffixes[g]` where text[s:s + g] is the last g letters of one,
+    and bit s of `prefixes[h]` where text[s:s + h] is the first h letters
+    of one (g, h < 2**n; the empty piece matches at every start).  Each
+    mask grows by one letter from the last: AND with the shifted letter
+    bitset of text, for both blocks at once.
+    """
     size = 1 << n
+    letters = int(text[::-1] or "0", 2)  # bit p is [text[p] == "1"]
+    letter = (letters ^ ((1 << len(text)) - 1), letters)
     bl = (words.block(0, n), words.block(1, n))
-    suffixes = {b[size - g:] for b in bl for g in range(size)}
-    prefixes = {b[:g] for b in bl for g in range(size)}
-    return size, suffixes, prefixes, str.maketrans({"0": bl[0], "1": bl[1]})
+    ones = (1 << len(text) + 1) - 1
+    prefixes, suffixes = [ones], [ones]
+    pre, suf = [ones, ones], [ones, ones]
+    for g in range(1, size + 1):
+        for j in (0, 1):
+            pre[j] &= letter[bl[j][g - 1] == "1"] >> (g - 1)
+            suf[j] = letter[bl[j][size - g] == "1"] & suf[j] >> 1
+        prefixes.append(pre[0] | pre[1])
+        suffixes.append(suf[0] | suf[1])
+    return prefixes.pop(), suffixes, prefixes
+
+
+def _split_table(text: str, length: int, n: int, starts: int) -> dict:
+    """start -> [(g0, k)]: the level-n splits of the word text[s:s + length]
+    at each start s whose bit is set in `starts`, by brute force.
+
+    A split has a block suffix of g0 < 2**n letters, k >= 2 full level-n
+    blocks and a block prefix of the h = (length - g0) % 2**n letters left.
+    Every offset g0 is tried at all starts at once, by AND-ing the masks of
+    `_level_masks` shifted to where each piece sits.  Nothing here reads
+    the lift chain, so the table is an independent check of `decompose`.
+    """
+    full, suffixes, prefixes = _level_masks(text, n)
+    size = 1 << n
+    table = {}
+    for g0 in range(min(size, length - 2 * size + 1)):
+        k, h = divmod(length - g0, size)
+        hits = starts & suffixes[g0] & prefixes[h] >> length - h
+        for j in range(k):
+            hits &= full >> g0 + j * size
+        while hits:
+            low = hits & -hits
+            table.setdefault(low.bit_length() - 1, []).append((g0, k))
+            hits ^= low
+    return table
+
+
+def _read_splits(w: str, n: int, found) -> list:
+    """The (gamma0, blocks, gamma1) triples of w for (g0, k) pairs of a table."""
+    out = []
+    for g0, k in found:
+        end = g0 + (k << n)
+        out.append((w[:g0], words._bits(w[g0:end:1 << n]), w[end:]))
+    return out
 
 
 def _brute_level_splits(w: str, n: int) -> list:
-    """All (gamma0, blocks, gamma1) splittings of w at level n, by brute force.
-
-    Every offset g0 < 2**n that leaves two full blocks is tried.  The
-    chunks between the partial blocks match level-n blocks iff they equal
-    the expansion of their first letters, one translate and one string
-    comparison that reads every letter.
-    """
-    size, suffixes, prefixes, expand = _level_tables(n)
-    length = len(w)
-    out = []
-    for g0 in range(min(size, length - 2 * size + 1)):
-        gamma0 = w[:g0]
-        if gamma0 not in suffixes:
-            continue
-        end = length - (length - g0) % size
-        gamma1 = w[end:]
-        if gamma1 not in prefixes:
-            continue
-        letters = w[g0:end:size]
-        if w[g0:end] == letters.translate(expand):
-            out.append((gamma0, words._bits(letters), gamma1))
-    return out
+    """All (gamma0, blocks, gamma1) splittings of w at level n, by brute force:
+    `_split_table` over the letters of w alone, at its one start."""
+    return _read_splits(w, n, _split_table(w, len(w), n, 1).get(0, ()))
 
 
 def check_combinatorics(quick: bool) -> dict:
@@ -176,9 +214,16 @@ def check_combinatorics(quick: bool) -> dict:
             return _result("combinatorics", False,
                            f"count-4 set at length {L}: {sorted(achieved)}")
 
-    # canonical decomposition: existence with 2..4 blocks, uniqueness per level
+    # canonical decomposition: existence with 2..4 blocks, uniqueness per
+    # level against one split table per (length, level) over the letters
+    # that factors_of_length scans, read at each factor's first start
+    text = words.tm_prefix(words._factor_window(decomp_len))
     for L in range(2, decomp_len + 1):
-        for w in words.factors_of_length(L):
+        factors = words.factors_of_length(L)
+        first = {w: text.find(w) for w in factors}
+        starts = sum(1 << s for s in first.values())
+        tables = {}
+        for w in factors:
             n_star = blocks.choose_level(w)
             d = blocks.decompose(w, n_star)
             if not 2 <= len(d.blocks) <= 4:
@@ -190,7 +235,9 @@ def check_combinatorics(quick: bool) -> dict:
                     return _result("combinatorics", False, f"level {n} refused at {w}")
                 if blocks.recompose(dn) != w:
                     return _result("combinatorics", False, f"round trip fails at {w}")
-                splits = _brute_level_splits(w, n)
+                if n not in tables:
+                    tables[n] = _split_table(text, L, n, starts)
+                splits = _read_splits(w, n, tables[n].get(first[w], ()))
                 if splits != [(dn.gamma0, dn.blocks, dn.gamma1)]:
                     return _result("combinatorics", False,
                                    f"uniqueness fails at {w} level {n}: {splits}")

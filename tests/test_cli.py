@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +114,7 @@ def test_verify_quick(capsys):
     code, payload = run_json(capsys, ["verify", "--quick"])
     assert code == 0 and payload["ok"] is True
     assert len(payload["checks"]) == 9
+    assert payload == json.loads((Path(__file__).parent / "data" / "verify_quick.json").read_text())
 
 
 def test_domain_error_exit_code(capsys):

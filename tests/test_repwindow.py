@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,33 @@ def test_empirical_trace_converges():
             gaps.append(gap)
         assert gaps[-1] <= Fraction(1, 100)
         assert min(gaps) == gaps[-1] or gaps[-1] <= Fraction(1, 1000)
+
+
+def _window_trace(alpha, W):
+    # the count in the built window x[-W..W-1]; overlap-free, so complete
+    return Fraction(words.tm_slice(-W, W).count(alpha), 2 * W + 1 - len(alpha))
+
+
+def test_empirical_trace_equals_the_window_count():
+    # every factor of <= 6 letters, from the smallest window it fits in,
+    # where occurrences that straddle 0 weigh most
+    for alpha in words._factors_upto(6):
+        for W in (4 * len(alpha), 4 * len(alpha) + 1, 37, 1000, 4099):
+            assert repwindow.empirical_trace(alpha, W) == _window_trace(alpha, W), (alpha, W)
+
+
+def test_empirical_trace_builds_no_window():
+    # warm the counter's bounded memo, then count at the largest window: the
+    # letters x[-W..W-1] alone would take 2 MiB
+    repwindow.empirical_trace("0110", 1 << 20)
+    tracemalloc.start()
+    try:
+        value = repwindow.empirical_trace("0110", 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == _window_trace("0110", 1 << 20)
+    assert peak < 64 << 10
 
 
 def test_validation():

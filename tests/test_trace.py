@@ -277,6 +277,11 @@ def test_counts_match_letter_by_letter_scan(oracle_prefix, start, length, data):
     window = oracle_prefix[:W][::-1] + oracle_prefix[:W]
     assert repwindow.empirical_trace(w, W) == Fraction(len(_scan(window, w)),
                                                        2 * W + 1 - length)
+    # past the reference prefix, up to the largest window: the count of the
+    # built window x[-W..W-1], complete since no two occurrences overlap
+    W = data.draw(st.integers(min_value=len(oracle_prefix), max_value=1 << 20))
+    assert repwindow.empirical_trace(w, W) == Fraction(words.tm_slice(-W, W).count(w),
+                                                       2 * W + 1 - length)
 
 
 def test_frequency_validation():
