@@ -10,7 +10,6 @@ compatible with the inclusions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -115,6 +114,7 @@ def bratteli_data(kmax: int) -> dict:
 
 
 def bratteli_json(kmax: int) -> str:
+    import json  # only callers that print JSON pay for the import
     return json.dumps(bratteli_data(kmax))
 
 

@@ -7,13 +7,11 @@ four full substitution blocks of some level n, and a partial block:
 
 where i^(n) denotes the n-fold substitution image of the letter i.  At a
 fixed level the expression is unique.  All levels of one word come
-from one lift chain: `words.lift` de-substitutes w on the level-1 grid
-(forced by any 00 or 11, which must straddle a grid boundary), then the
-block-letter string of each level on its own 2-grid, until no grid
-leaves two full blocks.  The chain of a word of at most
-`words.MAX_CACHED_LENGTH` letters is cached, so `choose_level`,
-`decompose`, `trace_range` and `reduce_class` of one word build it once;
-the cache holds 512 chains of at most |w| block letters each.
+from the one descent that also decides membership, `words._descent`,
+which is cached for words of at most `words.MAX_CACHED_LENGTH` letters:
+`is_factor`, `choose_level`, `decompose`, `trace_range` and
+`reduce_class` of one such word descend once, and each call on a
+longer word descends once.
 
 Decompositions that `decompose` and `complete_boundaries` read off the
 chain skip `BlockDecomposition.__post_init__` and are not re-validated;
@@ -29,31 +27,12 @@ K0 class are functions of it alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantError, LevelError, NotAFactorError
-from .words import (_SHORT_LEVEL, _bits, _is_binary, block, complement, is_factor,
-                    lift, require_factor, short_word_cache, tm_prefix)
-
-
-def _owner(gamma: str, level: int, suffix: bool):
-    """The letter j whose level-n block starts with gamma (ends with it when
-    `suffix`), or None; gamma is nonempty and shorter than a block.
-
-    The length-g prefix of block(j, n) is tm_prefix(g), complemented when
-    j = 1; its suffix is tm_prefix(g) reversed, complemented when j + n is
-    odd.  So one O(|gamma|) comparison replaces building both blocks.
-    """
-    edge, flip = tm_prefix(len(gamma)), 0
-    if suffix:
-        edge, flip = edge[::-1], level & 1
-    if gamma == edge:
-        return flip
-    if gamma == complement(edge):
-        return 1 - flip
-    return None
+from .words import (_SHORT_LEVEL, _bits, _complete, _factor_descent, _is_binary, _owner, block,
+                    complement, is_factor)
 
 
 @dataclass(frozen=True)
@@ -95,6 +74,7 @@ class BlockDecomposition:
         }
 
     def to_json(self) -> str:
+        import json  # only callers that print JSON pay for the import
         return json.dumps(self.as_dict())
 
 
@@ -129,39 +109,15 @@ def recompose(d: BlockDecomposition) -> str:
     return d.gamma0 + "".join([expand[b] for b in d.blocks]) + d.gamma1
 
 
-# 512 entries of at most |w| <= MAX_CACHED_LENGTH block letters each
-@short_word_cache(maxsize=1 << 9)
 def _chain(w: str) -> tuple:
-    """The lift chain of a factor: one (block letters c, grid offset) per level.
+    """The lift chain of a factor (`words._descent`), empty for words of
+    at most four letters; raises NotAFactorError for a non-factor."""
+    return _factor_descent(w)[0]
 
-    Entry n - 1 describes level n: w[off:off + len(c) * 2**n] is the
-    expansion of c, and the ends outside it are gamma0 and gamma1.  The
-    chain climbs while exactly one 2-grid of c leaves at least two full
-    blocks, and is empty for words with no such level-1 grid (only words
-    of length <= 4).  A second feasible grid would make two different
-    splits of one factor, which uniqueness rules out.
-    """
-    chain = []
-    c, off = w, 0
-    while True:
-        found = None
-        for phase in (0, 1):
-            if (len(c) - phase) // 2 < 2:
-                continue
-            up = lift(c, phase)
-            if up is None:
-                continue
-            if found is not None:
-                raise InvariantError(
-                    f"ambiguous level-{len(chain) + 1} grid for factor {w!r}")
-            found = (up, off + (phase << len(chain)))
-        if found is None:
-            break
-        chain.append(found)
-        c, off = found
-    if chain and not 2 <= len(c) <= 4:
-        raise InvariantError(f"maximal regrouping of {w!r} left {len(c)} blocks")
-    return tuple(chain)
+
+def _signature(w: str) -> tuple:
+    """(n, c): the top level of a factor and its completed block word."""
+    return _factor_descent(w)[1]
 
 
 def decompose(w: str, n: int) -> BlockDecomposition:
@@ -170,14 +126,13 @@ def decompose(w: str, n: int) -> BlockDecomposition:
     Raises LevelError when the level-n grid does not admit at least two
     full blocks inside w.
     """
-    require_factor(w)
+    chain = _chain(w)
     if len(w) < 2:
         raise LevelError("words of length < 2 have no block decomposition")
     if n < 0:
         raise ValueError("level must be nonnegative")
     if n == 0:
         return _trusted(0, "", _bits(w), "")
-    chain = _chain(w)
     if not chain:
         raise LevelError(f"no level-1 decomposition of {w!r} with two full blocks")
     if n > len(chain):
@@ -188,25 +143,10 @@ def decompose(w: str, n: int) -> BlockDecomposition:
 
 def choose_level(w: str) -> int:
     """The largest level at which w decomposes into 2..4 full blocks."""
-    require_factor(w)
+    chain = _chain(w)
     if len(w) < 2:
         raise LevelError("words of length < 2 have no block decomposition")
-    return len(_chain(w))
-
-
-def _complete(gamma0: str, c: str, gamma1: str, level: int) -> str:
-    """The block word c extended by the one letter whose level block each
-    nonempty partial block completes: gamma0 ends it, gamma1 begins it."""
-    for gamma, suffix in ((gamma0, True), (gamma1, False)):
-        if gamma:
-            j = _owner(gamma, level, suffix)
-            if j is None:
-                side = "suffix" if suffix else "prefix"
-                raise InvariantError(f"{gamma!r} is a {side} of no level-{level} block")
-            c = "01"[j] + c if suffix else c + "01"[j]
-    if not is_factor(c):
-        raise InvariantError(f"boundary completion {c!r} at level {level} is not a factor")
-    return c
+    return len(chain)
 
 
 def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:
@@ -221,19 +161,12 @@ def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:
     if len(d.blocks) < 2:
         raise ValueError("completion needs at least two full blocks")
     c = _complete(d.gamma0, "".join("01"[b] for b in d.blocks), d.gamma1, d.level)
+    if c is None:
+        raise InvariantError(
+            f"gamma0 {d.gamma0!r} or gamma1 {d.gamma1!r} completes no level-{d.level} block")
+    if not is_factor(c):
+        raise InvariantError(f"boundary completion {c!r} at level {d.level} is not a factor")
     return _trusted(d.level, "", _bits(c), "")
-
-
-# same bound as _chain; one entry holds at most six block letters
-@short_word_cache(maxsize=1 << 9)
-def _signature(w: str) -> tuple:
-    """(n, c): the top level of a factor and its completed block word."""
-    chain = _chain(w)
-    if not chain:
-        return 0, w
-    n = len(chain)
-    c, off = chain[-1]
-    return n, _complete(w[:off], c, w[off + (len(c) << n):], n)
 
 
 def rewrite_five(blocks, n: int):

@@ -22,7 +22,6 @@ the verification suite and the tests require the two tables to agree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,6 +47,7 @@ class K0Element:
         return {"level": self.level, "a": self.a, "b": self.b}
 
     def to_json(self) -> str:
+        import json  # only callers that print JSON pay for the import
         return json.dumps(self.as_dict())
 
 
@@ -219,7 +219,7 @@ def reduce_class(w: str) -> K0Element:
     completion preserves the class because the completing extensions
     are unique.
     """
-    return _block_word_class(*_signature(require_factor(w)))
+    return _block_word_class(*_signature(w))
 
 
 def apply_i_minus_phi(comb: dict) -> dict:

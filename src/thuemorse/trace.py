@@ -46,9 +46,11 @@ def _peel(w: str) -> Fraction:
                 total += _peel(a + w)
         return total
     value = Fraction(1, 6)
-    # peel leading letters off successively longer suffixes of w
+    # peel leading letters off successively longer suffixes of w; most
+    # complementary extensions fail in their first 8 letters (memoised)
     for k in range(len(w) - 4, -1, -1):
-        if is_factor(complement(w[k]) + w[k + 1:]):
+        u = complement(w[k]) + w[k + 1:]
+        if is_factor(u[:8]) and is_factor(u):
             value /= 2
     return value
 
@@ -65,11 +67,11 @@ def _block_word_trace(n: int, c: str) -> Fraction:
 
 def trace_range(w: str) -> Fraction:
     """Trace of the range projection of w = frequency of w in the sequence."""
-    return _block_word_trace(*_signature(require_factor(w)))
+    return _block_word_trace(*_signature(w))
 
 
-def check_range_family(words) -> tuple:
-    """Validate a disjoint union of ranges: distinct factors, equal length."""
+def _family_signatures(words) -> dict:
+    """Each member of a valid disjoint union of ranges, with its signature."""
     members = tuple(words)
     if not members:
         raise ValueError("a range family needs at least one member")
@@ -78,14 +80,17 @@ def check_range_family(words) -> tuple:
     lengths = {len(u) for u in members}
     if len(lengths) != 1 or 0 in lengths:
         raise ValueError("range family members must share one positive length")
-    for u in members:
-        require_factor(u)
-    return members
+    return {u: _signature(u) for u in members}
+
+
+def check_range_family(words) -> tuple:
+    """Validate a disjoint union of ranges: distinct factors, equal length."""
+    return tuple(_family_signatures(words))
 
 
 def trace_family(words) -> Fraction:
     """Trace of a disjoint union of range projections."""
-    return sum((_block_word_trace(*_signature(u)) for u in check_range_family(words)),
+    return sum((_block_word_trace(*s) for s in _family_signatures(words).values()),
                Fraction(0))
 
 
@@ -97,10 +102,10 @@ def trace_spanning(alpha: str, beta: str, words) -> Fraction:
     """
     _check_word(alpha, allow_empty=True)
     _check_word(beta, allow_empty=True)
-    members = check_range_family(words)
+    family = _family_signatures(words)
     if alpha != beta:
         return Fraction(0)
-    return sum((_block_word_trace(*_signature(u)) for u in members if u.endswith(alpha)),
+    return sum((_block_word_trace(*s) for u, s in family.items() if u.endswith(alpha)),
                Fraction(0))
 
 

@@ -298,7 +298,7 @@ def test_one_lift_chain_per_word(monkeypatch):
     start = (1 << 39) + 4321  # a word no other test builds
     w = "".join("01"[words.tm_letter(i)] for i in range(start, start + 3000))
     assert len(w) <= words.MAX_CACHED_LENGTH
-    before = blocks._chain.cache_info(), blocks._signature.cache_info()
+    before = words._descent.cache_info()
     blocks.decompose(w, blocks.choose_level(w))
     built = []
     check = blocks.BlockDecomposition.__post_init__
@@ -306,12 +306,10 @@ def test_one_lift_chain_per_word(monkeypatch):
                         lambda d: built.append(d) or check(d))
     trace.trace_range(w)
     ktheory.reduce_class(w)
-    after = blocks._chain.cache_info(), blocks._signature.cache_info()
-    # choose_level builds the chain; decompose and the signature reuse it,
-    # and trace and K0 share one signature: one completion per word, read
-    # off the chain without a BlockDecomposition
-    assert [(a.misses - b.misses, a.hits - b.hits) for a, b in zip(after, before)] == [
-        (1, 2), (1, 1)]
+    after = words._descent.cache_info()
+    # choose_level descends; decompose reads the chain and trace and K0
+    # the signature of that one descent, with no BlockDecomposition built
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 3)
     assert built == []
 
 

@@ -120,8 +120,8 @@ def test_trace_cache_is_bounded():
     for lo, length in sweep:
         w = words.tm_slice(lo, lo + length)
         assert trace.trace_range(w) == ktheory.evaluate(ktheory.reduce_class(w))
-    signature = blocks._signature.cache_info()
-    assert signature.currsize <= signature.maxsize == blocks._chain.cache_info().maxsize
+    descent = words._descent.cache_info()
+    assert descent.currsize <= descent.maxsize
     for memo in (trace._block_word_trace, ktheory._block_word_class):
         assert 19 <= memo.cache_info().currsize <= 50 * 21
 

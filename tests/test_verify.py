@@ -84,8 +84,8 @@ def test_oracle_never_reads_the_lift_chain(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the split oracle read the lift chain")
 
-    for module, name in [(words, "lift"), (words, "_is_factor"), (blocks, "lift"),
-                         (blocks, "_chain"), (blocks, "decompose")]:
+    for module, name in [(words, "lift"), (words, "_descent"), (blocks, "_chain"),
+                         (blocks, "decompose")]:
         monkeypatch.setattr(module, name, forbidden)
     verify._level_masks.cache_clear()
     assert _table_splits(24) == expected

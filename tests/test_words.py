@@ -238,7 +238,7 @@ def test_short_word_cache_skips_long_words():
 
 
 def test_is_factor_cache_is_bounded():
-    cache = words._is_factor
+    cache = words._descent
     bound = cache.cache_info().maxsize
     for x in range(bound + 100):
         assert words.is_factor(words.tm_slice(x, x + 100 + x % 200))
