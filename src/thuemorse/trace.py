@@ -83,11 +83,6 @@ def _family_signatures(words) -> dict:
     return {u: _signature(u) for u in members}
 
 
-def check_range_family(words) -> tuple:
-    """Validate a disjoint union of ranges: distinct factors, equal length."""
-    return tuple(_family_signatures(words))
-
-
 def trace_family(words) -> Fraction:
     """Trace of a disjoint union of range projections."""
     return sum((_block_word_trace(*s) for s in _family_signatures(words).values()),

@@ -182,12 +182,6 @@ def _read_splits(w: str, n: int, found) -> list:
     return out
 
 
-def _brute_level_splits(w: str, n: int) -> list:
-    """All (gamma0, blocks, gamma1) splittings of w at level n, by brute force:
-    `_split_table` over the letters of w alone, at its one start."""
-    return _read_splits(w, n, _split_table(w, len(w), n, 1).get(0, ()))
-
-
 def check_combinatorics(quick: bool) -> dict:
     """Extension counts, decomposition existence/uniqueness, follower
     blocks, overlap-freeness."""

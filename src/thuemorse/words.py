@@ -25,7 +25,7 @@ building the prefix.
 from __future__ import annotations
 
 import re
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 from .errors import NotAFactorError, ResourceLimitError
 
@@ -42,7 +42,7 @@ MAX_CACHED_LENGTH = 4096
 
 
 def _factor_window(L: int) -> int:
-    # generous for a linearly recurrent sequence; cross-checked in tests
+    # all p(L) factors of each L <= MAX_FACTOR_LENGTH: test_factors_of_length_counts
     return 10 * L + 64
 
 
@@ -71,25 +71,6 @@ def _check_word(w: str, allow_empty: bool = False) -> str:
     if not _is_binary(w):
         raise ValueError(f"word must consist of '0'/'1' only: {w!r}")
     return w
-
-
-def short_word_cache(maxsize: int):
-    """An lru_cache of `maxsize` entries that only memoises short words.
-
-    Words longer than MAX_CACHED_LENGTH are computed afresh on every
-    call.  The wrapper exposes the cache's cache_info and cache_clear.
-    """
-    def decorate(fn):
-        cached = lru_cache(maxsize=maxsize)(fn)
-
-        @wraps(fn)
-        def wrapper(w):
-            return cached(w) if len(w) <= MAX_CACHED_LENGTH else fn(w)
-
-        wrapper.cache_info = cached.cache_info
-        wrapper.cache_clear = cached.cache_clear
-        return wrapper
-    return decorate
 
 
 def complement(w: str) -> str:
@@ -124,10 +105,7 @@ def tm_prefix(n: int) -> str:
         if n < 0:
             raise ValueError(f"prefix length must be nonnegative, got {n}")
         raise ResourceLimitError(f"prefix length {n} exceeds {MAX_SLICE}")
-    k = (n - 1).bit_length()
-    # the cached level read in place: `_owner` takes a prefix per word
-    b = _short_blocks[k] if k <= _SHORT_LEVEL else None
-    return (b or _block0(k))[:n]
+    return _block0((n - 1).bit_length())[:n]
 
 
 def tm_letter(i: int) -> int:
@@ -283,29 +261,31 @@ def _complete(gamma0: str, c: str, gamma1: str, level: int):
     return c
 
 
-# 20k mixed queries on words of <= 64 letters descend 1.8k-1.9k distinct
-# words; an entry of 4096 letters (key and chain) holds about 10 kB.
-@short_word_cache(maxsize=1 << 11)
 def _descent(w: str):
     """(chain, (n, c)) for a factor w, None for a non-factor.
 
     Chain entry n - 1, (c, off), says that w[off:off + len(c) * 2**n] is
     the level-n expansion of the block letters c.  A 00 or 11 at index i
     straddles a grid boundary, so it fixes the phase (i + 1) mod 2; a c
-    with neither alternates, and holds the overlap 01010 or 10101 from
-    five letters on.  c is lifted once per level while the grid leaves two
-    full blocks; at the top the owners of the partial ends complete it to
-    the signature's block word.  w is a factor exactly when that word is:
-    w is a subword of its expansion, and a factor lifts on its own grid.
+    with neither is lifted on phase 0.  c is lifted once per level while
+    the grid leaves two full blocks; at the top the owners of the partial
+    ends complete it to the signature's block word.  That top check alone
+    decides membership: w is a subword of the completed word's expansion,
+    and a factor lifts on its own grid, so w is a factor exactly when the
+    completed word is.
     """
+    if len(w) <= MAX_CACHED_LENGTH:
+        return _short_descent(w)
+    return _descend(w)
+
+
+def _descend(w: str):
     chain = []
     c, off = w, 0
     while True:
         i = c.find("00")
         if i < 0:
             i = c.find("11")
-            if i < 0 and len(c) > 4:
-                return None
         phase = (i + 1) & 1
         if len(c) - phase < 4:
             break
@@ -319,6 +299,11 @@ def _descent(w: str):
     if top is None or top not in _base_factors():
         return None
     return tuple(chain), (n, top)
+
+
+# 20k mixed queries on words of <= 64 letters descend 1.8k-1.9k distinct
+# words; an entry of 4096 letters (key and chain) holds about 10 kB.
+_short_descent = lru_cache(maxsize=1 << 11)(_descend)
 
 
 # Below this prefix length a count reads the prefix itself.

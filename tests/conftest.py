@@ -1,11 +1,12 @@
 """Shared fixtures: an independently constructed reference word.
 
-The reference prefix is built letter by letter from binary digit sums,
-a different route than the package's doubling construction, so tests
-against it are genuine cross-checks.
+The reference prefix is `reference.letters`, built letter by letter
+from binary digit sums, a different route than the package's doubling
+construction, so tests against it are genuine cross-checks.
 """
 
 import pytest
+from reference import letters
 
 
 ORACLE_LEN = 1 << 16
@@ -13,7 +14,7 @@ ORACLE_LEN = 1 << 16
 
 @pytest.fixture(scope="session")
 def oracle_prefix():
-    return "".join(str(bin(i).count("1") & 1) for i in range(ORACLE_LEN))
+    return letters(0, ORACLE_LEN)
 
 
 @pytest.fixture(scope="session")

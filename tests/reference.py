@@ -1,0 +1,34 @@
+"""Independent reference routes, each held once: letters from binary digit
+sums, not the package's doubled blocks; a letter-by-letter scan; brute splits."""
+
+from thuemorse import words
+
+
+def letters(lo: int, hi: int) -> str:
+    """w[lo..hi-1] from binary digit sums and the mirror rule w[-i] = w[i-1]."""
+    return "".join(str(bin(-i - 1 if i < 0 else i).count("1") & 1) for i in range(lo, hi))
+
+
+def scan(s: str, w: str) -> list:
+    """Start indices of w in s, overlapping occurrences included, letter by letter."""
+    return [i for i in range(len(s) - len(w) + 1) if s[i:i + len(w)] == w]
+
+
+def splits(w: str, n: int) -> list:
+    """All (gamma0, blocks, gamma1) splittings of w at level n: every offset
+    g0 < 2**n leaving two full blocks whose chunks expand their first letters."""
+    size = 1 << n
+    bl = (words.block(0, n), words.block(1, n))
+    suffixes = {b[size - g:] for b in bl for g in range(size)}
+    prefixes = {b[:g] for b in bl for g in range(size)}
+    expand = str.maketrans({"0": bl[0], "1": bl[1]})
+    length = len(w)
+    out = []
+    for g0 in range(min(size, length - 2 * size + 1)):
+        end = length - (length - g0) % size
+        if w[:g0] not in suffixes or w[end:] not in prefixes:
+            continue
+        found = w[g0:end:size]
+        if w[g0:end] == found.translate(expand):
+            out.append((w[:g0], words._bits(found), w[end:]))
+    return out

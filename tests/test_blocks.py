@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from thuemorse import blocks, ktheory, trace, words
 from thuemorse.errors import LevelError, NotAFactorError
-from thuemorse.verify import _brute_level_splits
+from reference import letters, splits
 
 # the 32-letter factor starting at position 9, used throughout as the
 # worked decomposition example
@@ -98,16 +98,16 @@ def test_round_trip_and_uniqueness_exhaustive():
             for n in range(n_star + 1):
                 d = blocks.decompose(w, n)
                 assert blocks.recompose(d) == w
-                assert _brute_level_splits(w, n) == [(d.gamma0, d.blocks, d.gamma1)]
+                assert splits(w, n) == [(d.gamma0, d.blocks, d.gamma1)]
 
 
 def test_brute_level_splits_hand_written():
     # a non-factor with two splits at level 1
-    assert _brute_level_splits("010101", 1) == [("", (0, 0, 0), ""), ("0", (1, 1), "1")]
+    assert splits("010101", 1) == [("", (0, 0, 0), ""), ("0", (1, 1), "1")]
     # 0110 1001 1001 0111: the last chunk is no block, and no other offset
     # leaves a block suffix before a run of blocks
-    assert _brute_level_splits("0110100110010111", 2) == []
-    assert _brute_level_splits("0110", 0) == [("", (0, 1, 1, 0), "")]
+    assert splits("0110100110010111", 2) == []
+    assert splits("0110", 0) == [("", (0, 1, 1, 0), "")]
 
 
 def _revalidated(d):
@@ -279,14 +279,14 @@ def _grid_split(p: int, length: int, n: int) -> tuple:
        st.integers(min_value=2, max_value=2000))
 @settings(max_examples=60, deadline=None)
 def test_decompose_matches_absolute_grid_on_far_factors(start, length):
-    w = "".join("01"[words.tm_letter(i)] for i in range(start, start + length))
+    w = letters(start, start + length)
     for n in range(blocks.choose_level(w) + 1):
         d = blocks.decompose(w, n)
-        g0, letters, g1 = _grid_split(start, length, n)
-        assert (d.gamma0, d.blocks, d.gamma1) == (w[:g0], letters, w[length - g1:])
+        g0, grid, g1 = _grid_split(start, length, n)
+        assert (d.gamma0, d.blocks, d.gamma1) == (w[:g0], grid, w[length - g1:])
         assert _revalidated(d) == d
         if length <= 200:
-            assert _brute_level_splits(w, n) == [(d.gamma0, d.blocks, d.gamma1)]
+            assert splits(w, n) == [(d.gamma0, d.blocks, d.gamma1)]
     # the signature: every top-level block that w meets, read off the grid
     size = 1 << n
     completed = "".join("01"[words.tm_letter(q * size)]
@@ -296,9 +296,9 @@ def test_decompose_matches_absolute_grid_on_far_factors(start, length):
 
 def test_one_lift_chain_per_word(monkeypatch):
     start = (1 << 39) + 4321  # a word no other test builds
-    w = "".join("01"[words.tm_letter(i)] for i in range(start, start + 3000))
+    w = letters(start, start + 3000)
     assert len(w) <= words.MAX_CACHED_LENGTH
-    before = words._descent.cache_info()
+    before = words._short_descent.cache_info()
     blocks.decompose(w, blocks.choose_level(w))
     built = []
     check = blocks.BlockDecomposition.__post_init__
@@ -306,7 +306,7 @@ def test_one_lift_chain_per_word(monkeypatch):
                         lambda d: built.append(d) or check(d))
     trace.trace_range(w)
     ktheory.reduce_class(w)
-    after = words._descent.cache_info()
+    after = words._short_descent.cache_info()
     # choose_level descends; decompose reads the chain and trace and K0
     # the signature of that one descent, with no BlockDecomposition built
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 3)

@@ -7,6 +7,7 @@ import pytest
 
 from thuemorse import blocks, cli, words
 from thuemorse.errors import InvariantError
+from reference import letters
 
 
 def run_json(capsys, argv):
@@ -179,13 +180,13 @@ def test_invariant_failure_is_one_json_line_exit_three(capsys, monkeypatch):
 
 def test_completion_guards_raise_invariant_errors(capsys, monkeypatch):
     start = (1 << 38) + 777  # a word no other test builds, with both ends partial
-    w = "".join("01"[words.tm_letter(i)] for i in range(start, start + 100))
+    w = letters(start, start + 100)
     # the descent completes the top level to decide membership, so a
     # partial block without an owner makes the word a non-factor
     with monkeypatch.context() as m:
         m.setattr(words, "_owner", lambda gamma, level, suffix: None)
         code, payload = run_json(capsys, ["trace", w])
-        words._descent.cache_clear()
+        words._short_descent.cache_clear()
     assert code == 1 and list(payload) == ["error"]
     d = blocks.decompose(w, blocks.choose_level(w))
     assert d.gamma0 and d.gamma1

@@ -68,4 +68,4 @@ def test_million_letter_factor():
     value = trace.trace_range(w)
     assert value == ktheory.evaluate(ktheory.reduce_class(w))
     assert value == Fraction(1, 3 * 2 ** 20)
-    assert words._descent.cache_info().currsize <= words._descent.cache_info().maxsize
+    assert words._short_descent.cache_info().currsize <= words._short_descent.cache_info().maxsize

@@ -5,7 +5,10 @@ both grids, level by level, and `_reference_chain` the iterative lift
 chain that tried both grids at every level; the signature completes the
 chain's top by brute force, each partial block matched against both
 blocks of its level.  The descent must give the same membership, chain
-and signature on every word.  The counting gates bound the letters that
+and signature on every word.  The overlap lemma backs the top check,
+which alone decides membership: a block string of five or more letters
+that lifts on both grids holds 01010 or 10101, so a factor's has a 00 or
+11 that fixes its own grid.  The counting gates bound the letters that
 `words.lift` reads by the algorithm: the level-k block string has at
 most |w| / 2**k letters, so one descent reads fewer than 2 |w|.
 """
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from thuemorse import blocks, ktheory, trace, words
 from thuemorse.errors import InvariantError
+from reference import letters
 
 
 @lru_cache(maxsize=None)
@@ -72,10 +76,6 @@ def _assert_matches_reference(w: str):
         assert found == (_reference_chain(w), _reference_signature(w)), w
 
 
-def _letters(start: int, length: int) -> str:
-    return "".join("01"[words.tm_letter(i)] for i in range(start, start + length))
-
-
 def test_descent_matches_the_reference_routes_on_every_short_word():
     for L in range(1, 15):
         for x in range(1 << L):
@@ -95,7 +95,7 @@ far_offsets = st.builds(lambda e, j: (1 << e) + j if j & 1 else -(1 << e) - j,
        st.integers(min_value=0, max_value=1 << 30))
 @settings(max_examples=150, deadline=None)
 def test_descent_matches_the_reference_routes_on_mutated_far_factors(start, length, kind, r, s):
-    w = _letters(start, length)
+    w = letters(start, start + length)
     pos = r % length
     if kind == "flip":
         w = w[:pos] + words.complement(w[pos]) + w[pos + 1:]
@@ -150,16 +150,18 @@ def _pipeline(w: str):
 
 def test_a_fresh_factor_is_lifted_once(monkeypatch):
     lifted = _count_lifted_letters(monkeypatch)
-    w = _letters((1 << 47) + 919, 3000)  # a word no other test builds
+    w = letters((1 << 47) + 919, (1 << 47) + 3919)  # a word no other test builds
     assert len(w) <= words.MAX_CACHED_LENGTH
     _pipeline(w)
     # one descent for the six calls, and complete_boundaries checks the
     # completed block word of at most six letters
     assert lifted[0] <= 2 * len(w) + 2 * 6
-    lifted[0] = 0
-    bad = w[:1000] + w[1000:1100] * 2 + w[1000] + w[1201:]
-    assert not words.is_factor(bad)
-    assert lifted[0] < 2 * len(bad)
+    # an alternating non-factor lifts |w| letters on phase 0, and its
+    # parent of one repeated letter stops the next lift
+    for bad in (w[:1000] + w[1000:1100] * 2 + w[1000] + w[1201:], "01" * 1500):
+        lifted[0] = 0
+        assert not words.is_factor(bad)
+        assert lifted[0] < 2 * len(bad)
 
 
 def test_an_uncached_factor_is_lifted_once_per_public_call(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from thuemorse import blocks, ktheory, repwindow, trace, words
 from thuemorse.errors import NotAFactorError, ResourceLimitError
+from reference import letters, scan
 
 SIXTH = Fraction(1, 6)
 THIRD = Fraction(1, 3)
@@ -105,8 +106,7 @@ def test_block_route_matches_peeling_exhaustive():
        st.integers(min_value=2, max_value=1500))
 @settings(max_examples=40, deadline=None)
 def test_block_route_matches_peeling_on_far_long_factors(start, length):
-    # letters from the digit-sum rule, independently of tm_slice's blocks
-    w = "".join("01"[words.tm_letter(i)] for i in range(start, start + length))
+    w = letters(start, start + length)
     block, peel, k0 = _three_routes(w)
     assert block == peel == k0
     assert block.numerator == 1 and ktheory.is_dyadic_third(block)
@@ -120,7 +120,7 @@ def test_trace_cache_is_bounded():
     for lo, length in sweep:
         w = words.tm_slice(lo, lo + length)
         assert trace.trace_range(w) == ktheory.evaluate(ktheory.reduce_class(w))
-    descent = words._descent.cache_info()
+    descent = words._short_descent.cache_info()
     assert descent.currsize <= descent.maxsize
     for memo in (trace._block_word_trace, ktheory._block_word_class):
         assert 19 <= memo.cache_info().currsize <= 50 * 21
@@ -258,24 +258,19 @@ def test_frequency_oracle_agreement():
             assert gap <= Fraction(1, 100)
 
 
-def _scan(s, w):
-    """Start indices of w in s, overlapping occurrences included, letter by letter."""
-    return [i for i in range(len(s) - len(w) + 1) if s[i:i + len(w)] == w]
-
-
 @given(st.integers(min_value=0, max_value=(1 << 16) - 40),
        st.integers(min_value=1, max_value=40), st.data())
 @settings(max_examples=30, deadline=None)
 def test_counts_match_letter_by_letter_scan(oracle_prefix, start, length, data):
     w = oracle_prefix[start:start + length]
     N = data.draw(st.integers(min_value=length, max_value=len(oracle_prefix)))
-    starts = _scan(oracle_prefix[:N], w)
+    starts = scan(oracle_prefix[:N], w)
     assert words.occurrences(w, 0, N) == starts
     assert trace.frequency(w, N) == Fraction(len(starts), N - length + 1)
     W = data.draw(st.integers(min_value=4 * length, max_value=len(oracle_prefix)))
     # x[-W..W-1] by the mirror rule x[-i] = x[i-1]
     window = oracle_prefix[:W][::-1] + oracle_prefix[:W]
-    assert repwindow.empirical_trace(w, W) == Fraction(len(_scan(window, w)),
+    assert repwindow.empirical_trace(w, W) == Fraction(len(scan(window, w)),
                                                        2 * W + 1 - length)
     # past the reference prefix, up to the largest window: the count of the
     # built window x[-W..W-1], complete since no two occurrences overlap

@@ -1,9 +1,9 @@
 """The split oracle of `verify` and its failing paths.
 
-`_reference_splits` is the per-word brute force that `verify` ran before
-its split tables: it builds both level-n blocks and tests each offset
-with one translate and one string comparison.  The oracle must agree
-with it everywhere, must call nothing of the lift chain, and must make
+`reference.splits` is the per-word brute force that `verify` ran before
+its split tables; `_word_splits` reads one table over the letters of w
+alone, at its one start.  The oracle must agree with the brute force
+everywhere, must call nothing of the lift chain, and must make
 `check_combinatorics` fail, with the detail it has always printed, when
 one decomposition is wrong.
 """
@@ -14,29 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thuemorse import blocks, trace, verify, words
+from reference import splits
 
 ORACLE_LEN = 64
 
 
-def _reference_splits(w: str, n: int) -> list:
-    """All (gamma0, blocks, gamma1) splittings of w at level n: every offset
-    g0 < 2**n that leaves two full blocks, with the chunks between the
-    partial blocks equal to the expansion of their first letters."""
-    size = 1 << n
-    bl = (words.block(0, n), words.block(1, n))
-    suffixes = {b[size - g:] for b in bl for g in range(size)}
-    prefixes = {b[:g] for b in bl for g in range(size)}
-    expand = str.maketrans({"0": bl[0], "1": bl[1]})
-    length = len(w)
-    out = []
-    for g0 in range(min(size, length - 2 * size + 1)):
-        end = length - (length - g0) % size
-        if w[:g0] not in suffixes or w[end:] not in prefixes:
-            continue
-        letters = w[g0:end:size]
-        if w[g0:end] == letters.translate(expand):
-            out.append((w[:g0], words._bits(letters), w[end:]))
-    return out
+def _word_splits(w: str, n: int) -> list:
+    return verify._read_splits(w, n, verify._split_table(w, len(w), n, 1).get(0, ()))
 
 
 def _levels(L: int) -> range:
@@ -62,10 +46,10 @@ def _table_splits(max_len: int) -> dict:
 def test_split_tables_match_the_reference_on_every_factor():
     tables = _table_splits(ORACLE_LEN)
     assert len(tables) > 30_000
-    for (w, n), splits in tables.items():
-        expected = _reference_splits(w, n)
-        assert splits == expected, (w, n)
-        assert verify._brute_level_splits(w, n) == expected, (w, n)
+    for (w, n), found in tables.items():
+        expected = splits(w, n)
+        assert found == expected, (w, n)
+        assert _word_splits(w, n) == expected, (w, n)
 
 
 @given(st.text(alphabet="01", max_size=80), st.integers(min_value=0, max_value=6))
@@ -74,11 +58,11 @@ def test_split_tables_match_the_reference_on_every_factor():
 @example("0110", 0)
 @settings(max_examples=300, deadline=None)
 def test_per_word_oracle_matches_the_reference_on_any_word(w, n):
-    assert verify._brute_level_splits(w, n) == _reference_splits(w, n)
+    assert _word_splits(w, n) == splits(w, n)
 
 
 def test_oracle_never_reads_the_lift_chain(monkeypatch):
-    expected = {(w, n): _reference_splits(w, n)
+    expected = {(w, n): splits(w, n)
                 for L in range(2, 25) for w in words.factors_of_length(L) for n in _levels(L)}
 
     def forbidden(*args):
@@ -89,7 +73,7 @@ def test_oracle_never_reads_the_lift_chain(monkeypatch):
         monkeypatch.setattr(module, name, forbidden)
     verify._level_masks.cache_clear()
     assert _table_splits(24) == expected
-    assert all(verify._brute_level_splits(w, n) == s for (w, n), s in expected.items())
+    assert all(_word_splits(w, n) == s for (w, n), s in expected.items())
 
 
 def test_a_shifted_block_fails_combinatorics_at_its_word(monkeypatch):

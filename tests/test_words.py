@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 
 from thuemorse import words
 from thuemorse.errors import NotAFactorError, ResourceLimitError
+from reference import letters, scan
 
 binary_words = st.text(alphabet="01", min_size=1, max_size=40)
-
-
-def _popcount_letters(lo, hi):
-    """w[lo..hi-1] from binary digit sums and the mirror rule, letter by letter."""
-    return "".join(str(bin(-i - 1 if i < 0 else i).count("1") & 1) for i in range(lo, hi))
 
 
 def _peak_bytes(fn, *args):
@@ -72,7 +68,7 @@ def test_slice_near_zero_matches_oracle(oracle_prefix):
        st.integers(min_value=0, max_value=300))
 @settings(max_examples=300, deadline=None)
 def test_slice_at_any_offset_matches_popcount_letters(lo, n):
-    assert words.tm_slice(lo, lo + n) == _popcount_letters(lo, lo + n)
+    assert words.tm_slice(lo, lo + n) == letters(lo, lo + n)
 
 
 def test_far_slices_build_no_prefix():
@@ -221,24 +217,17 @@ def test_is_factor_on_mutated_long_factors(oracle_prefix):
 
 
 def test_short_word_cache_skips_long_words():
-    calls = []
-
-    @words.short_word_cache(maxsize=4)
-    def size(w):
-        calls.append(w)
-        return len(w)
-
-    for k in range(10):
-        size("0" * k)
-    assert size.cache_info().currsize == 4
-    short, long_word = "01", "0" * (words.MAX_CACHED_LENGTH + 1)
-    assert size(short) == size(short) == 2
-    assert size(long_word) == size(long_word) == len(long_word)
-    assert calls.count(short) == 1 and calls.count(long_word) == 2
+    memo = words._short_descent
+    memo.cache_clear()
+    short, long_word = words.tm_slice(77, 177), words.tm_slice(77, 78 + words.MAX_CACHED_LENGTH)
+    assert words._descent(short) == words._descent(short) is not None
+    assert words._descent(long_word) is not None
+    # one miss and one hit for the short word, nothing for the long one
+    assert memo.cache_info()[:2] == (1, 1) and memo.cache_info().currsize == 1
 
 
 def test_is_factor_cache_is_bounded():
-    cache = words._descent
+    cache = words._short_descent
     bound = cache.cache_info().maxsize
     for x in range(bound + 100):
         assert words.is_factor(words.tm_slice(x, x + 100 + x % 200))
@@ -256,8 +245,12 @@ def test_word_length_cap():
 
 
 def test_factors_of_length_counts(oracle_factors):
-    assert [len(words.factors_of_length(L)) for L in range(1, 9)] == [
-        2, 4, 6, 10, 12, 16, 20, 22]
+    # the factor complexity (Brlek 1989; de Luca & Varricchio 1989): p(1..3)
+    # = 2, 4, 6, p(2n) = p(n) + p(n + 1) and p(2n + 1) = 2 p(n + 1) for n >= 2
+    p = [0, 2, 4, 6]
+    for L in range(4, words.MAX_FACTOR_LENGTH + 1):
+        p.append(p[L // 2] + p[L // 2 + 1] if L % 2 == 0 else 2 * p[L // 2 + 1])
+    assert [len(words.factors_of_length(L)) for L in range(1, len(p))] == p[1:]
     for L in range(1, 17):
         assert set(words.factors_of_length(L)) == oracle_factors(L)
 
@@ -315,9 +308,8 @@ def test_occurrences_two_sided(oracle_prefix):
     for i in occ:
         assert words.tm_slice(i, i + 4) == "0110"
     lo = 1 << 30
-    letters = _popcount_letters(lo, lo + 100)
     assert words.occurrences("0110", lo, lo + 100) == [
-        lo + p for p in range(97) if letters[p:p + 4] == "0110"]
+        lo + p for p in scan(letters(lo, lo + 100), "0110")]
 
 
 def test_base_factor_window_is_safe(oracle_factors):
@@ -336,7 +328,7 @@ def test_prefix_count_matches_letter_by_letter_scan(oracle_prefix):
                   if w not in found][:1]
     assert len(cases) == 50 + 4
     for w in cases:
-        starts = [p for p in range(512 - len(w) + 1) if oracle_prefix[p:p + len(w)] == w]
+        starts = scan(oracle_prefix[:512], w)
         for n in range(513):
             # the starts p of a scan of oracle_prefix[:n] are those with p + |w| <= n
             expected = sum(p + len(w) <= n for p in starts)
