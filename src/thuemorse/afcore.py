@@ -8,12 +8,10 @@ are the Bratteli data of the tower, and the trace vectors are
 compatible with the inclusions.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._value import value_base
 from .errors import ResourceLimitError
 from .trace import trace_range
 from .words import factors_of_length
@@ -21,18 +19,15 @@ from .words import factors_of_length
 MAX_LEVEL = 12
 
 
-@dataclass(frozen=True)
-class AfLevel:
-    k: int
-    basis: tuple
+class AfLevel(value_base("k basis")):
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class InclusionMatrix:
+class InclusionMatrix(value_base("k entries")):
     """0/1 matrix of the inclusion of level k into level k+1.
 
     entries[row][col] = 1 iff the row word equals the column word with
@@ -40,8 +35,7 @@ class InclusionMatrix:
     basis, columns by the level-k basis.
     """
 
-    k: int
-    entries: tuple
+    __slots__ = ()
 
     def column_sums(self) -> list:
         return [sum(row[j] for row in self.entries) for j in range(len(self.entries[0]))]

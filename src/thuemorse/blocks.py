@@ -14,10 +14,10 @@ which is cached for words of at most `words.MAX_CACHED_LENGTH` letters:
 longer word descends once.
 
 Decompositions that `decompose` and `complete_boundaries` read off the
-chain skip `BlockDecomposition.__post_init__` and are not re-validated;
-`recompose`, the split tables of `verify` (every split of every factor
-of one length at one level, by bitset matching, with no lift chain) and
-the tests check them instead.
+chain are built by `tuple.__new__`, which skips the checks of
+`BlockDecomposition.__post_init__`; `recompose`, the split tables of
+`verify` (every split of every factor of one length at one level, with
+no lift chain) and the tests check them instead.
 
 The signature (n, c) of a factor is its top level n and the block word
 c of 2..6 letters that completes the chain's top entry, with no
@@ -25,24 +25,18 @@ BlockDecomposition built, or (0, w) without a level-1 grid.  Trace and
 K0 class are functions of it alone.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import value_base
 from .errors import InvariantError, LevelError, NotAFactorError
 from .words import (_SHORT_LEVEL, _bits, _complete, _factor_descent, _is_binary, _owner, block,
                     complement, is_factor)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(value_base("level gamma0 blocks gamma1")):
     """A word split as gamma0 + full level-n blocks + gamma1."""
 
-    level: int
-    gamma0: str
-    blocks: tuple
-    gamma1: str
+    __slots__ = ()
 
     def __post_init__(self):
         if self.level < 0:
@@ -66,24 +60,7 @@ class BlockDecomposition:
         return recompose(self)
 
     def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "gamma0": self.gamma0,
-            "blocks": list(self.blocks),
-            "gamma1": self.gamma1,
-        }
-
-    def to_json(self) -> str:
-        import json  # only callers that print JSON pay for the import
-        return json.dumps(self.as_dict())
-
-
-def _trusted(level: int, gamma0: str, blocks: tuple, gamma1: str) -> BlockDecomposition:
-    """A BlockDecomposition whose fields hold by construction, built
-    without __post_init__'s checks."""
-    d = object.__new__(BlockDecomposition)
-    d.__dict__.update(level=level, gamma0=gamma0, blocks=blocks, gamma1=gamma1)
-    return d
+        return {**self._asdict(), "blocks": list(self.blocks)}
 
 
 def _expansion(level: int) -> tuple:
@@ -132,13 +109,13 @@ def decompose(w: str, n: int) -> BlockDecomposition:
     if n < 0:
         raise ValueError("level must be nonnegative")
     if n == 0:
-        return _trusted(0, "", _bits(w), "")
+        return tuple.__new__(BlockDecomposition, (0, "", _bits(w), ""))
     if not chain:
         raise LevelError(f"no level-1 decomposition of {w!r} with two full blocks")
     if n > len(chain):
         raise LevelError(f"no level-{n} decomposition of {w!r} with two full blocks")
     c, off = chain[n - 1]
-    return _trusted(n, w[:off], _bits(c), w[off + (len(c) << n):])
+    return tuple.__new__(BlockDecomposition, (n, w[:off], _bits(c), w[off + (len(c) << n):]))
 
 
 def choose_level(w: str) -> int:
@@ -166,7 +143,7 @@ def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:
             f"gamma0 {d.gamma0!r} or gamma1 {d.gamma1!r} completes no level-{d.level} block")
     if not is_factor(c):
         raise InvariantError(f"boundary completion {c!r} at level {d.level} is not a factor")
-    return _trusted(d.level, "", _bits(c), "")
+    return tuple.__new__(BlockDecomposition, (d.level, "", _bits(c), ""))
 
 
 def rewrite_five(blocks, n: int):

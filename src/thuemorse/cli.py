@@ -7,8 +7,6 @@ word that is not a factor, or a well-formed number out of range),
 internal invariant failed (a bug; reported as {"error": ...}).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -6,8 +6,6 @@ extension count is always 1, 2 or 4; the single letters are the only
 words with count 3.
 """
 
-from __future__ import annotations
-
 from .errors import ResourceLimitError
 from .words import is_factor, require_factor
 

@@ -20,35 +20,23 @@ completes to; it then checks every one-block splitting relation, and
 the verification suite and the tests require the two tables to agree.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._value import value_base
 from .blocks import _signature, complete_boundaries, decompose
 from .errors import InvariantError, LevelError
 from .words import factors_of_length, is_factor, require_factor
 
 
-@dataclass(frozen=True)
-class K0Element:
+class K0Element(value_base("level a b")):
     """a * a_n + b * b_n at level n; not necessarily in normal form."""
 
-    level: int
-    a: int
-    b: int
+    __slots__ = ()
 
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("level must be nonnegative")
-
-    def as_dict(self) -> dict:
-        return {"level": self.level, "a": self.a, "b": self.b}
-
-    def to_json(self) -> str:
-        import json  # only callers that print JSON pay for the import
-        return json.dumps(self.as_dict())
 
 
 def promote(e: K0Element) -> K0Element:

@@ -14,17 +14,11 @@ band where the truncation is invisible.  The sparse matrices of
 only when asked for, and only they load numpy and scipy.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
+from ._value import value_base
 from .errors import ResourceLimitError
 from .words import _check_word, _factors_upto, _prefix_count, require_factor, tm_slice
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 MAX_HALF_WIDTH = 1 << 20
 # Largest (factor count) x (2W + 1) that `axiom_residuals` holds as range
@@ -32,12 +26,17 @@ MAX_HALF_WIDTH = 1 << 20
 MAX_RESIDUAL_CELLS = 1 << 23
 
 
-@dataclass(frozen=True)
-class WindowOperator:
-    """A sparse integer matrix acting on basis indices -W..W."""
+class WindowOperator(value_base("W matrix")):
+    """A sparse integer matrix acting on basis indices -W..W; equal to
+    another when W and every entry agree."""
 
-    W: int
-    matrix: sparse.csr_matrix
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.W == other.W
+                and self.matrix.shape == other.matrix.shape
+                and (self.matrix != other.matrix).nnz == 0)
 
     @property
     def size(self) -> int:

@@ -19,8 +19,6 @@ trace(w) = trace(c) / 2^n, which is O(|w|).  Every value has the form
 recursion, which reads O(log N) letters instead of the prefix itself.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 

@@ -9,8 +9,6 @@ each, most of it the exhaustive decomposition loop of
 `check_combinatorics`.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 

@@ -22,8 +22,6 @@ de-substitution down the substitution levels (`_prefix_count`), without
 building the prefix.
 """
 
-from __future__ import annotations
-
 import re
 from functools import lru_cache
 

@@ -245,3 +245,12 @@ def test_entry_point_subprocess():
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert "thuemorse.trace" in imported
     assert not {m for m in imported if m.split(".")[0] in ("numpy", "scipy")}
+    # the value classes are namedtuples: neither dataclasses nor the
+    # inspect module it loads is imported, on the query path or by verify
+    assert not imported & {"dataclasses", "inspect"}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, thuemorse.verify; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout == "[]\n"

@@ -1,11 +1,14 @@
 """Cross-module consistency on long words, beyond the exhaustive ranges."""
 
+import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from thuemorse import blocks, ktheory, trace, words
+from thuemorse import afcore, blocks, ktheory, repwindow, trace, words
 
 starts = st.integers(min_value=-3000, max_value=3000)
 lengths = st.integers(min_value=2, max_value=220)
@@ -69,3 +72,51 @@ def test_million_letter_factor():
     assert value == ktheory.evaluate(ktheory.reduce_class(w))
     assert value == Fraction(1, 3 * 2 ** 20)
     assert words._short_descent.cache_info().currsize <= words._short_descent.cache_info().maxsize
+
+
+_EYE = sparse.identity(3, dtype="int64", format="csr")
+
+
+# class, fields, repr, as_dict (None: a class whose dict the CLI never prints)
+@pytest.mark.parametrize("cls, fields, text, as_dict", [
+    (blocks.BlockDecomposition, {"level": 3, "gamma0": "0010110", "blocks": (1, 0, 1),
+                                 "gamma1": "0"},
+     "BlockDecomposition(level=3, gamma0='0010110', blocks=(1, 0, 1), gamma1='0')",
+     {"level": 3, "gamma0": "0010110", "blocks": [1, 0, 1], "gamma1": "0"}),
+    (ktheory.K0Element, {"level": 0, "a": 2, "b": 4}, "K0Element(level=0, a=2, b=4)",
+     {"level": 0, "a": 2, "b": 4}),
+    (afcore.AfLevel, {"k": 1, "basis": ("00", "01")}, "AfLevel(k=1, basis=('00', '01'))",
+     None),
+    (afcore.InclusionMatrix, {"k": 1, "entries": ((1, 0), (0, 1))},
+     "InclusionMatrix(k=1, entries=((1, 0), (0, 1)))", None),
+    (repwindow.WindowOperator, {"W": 1, "matrix": _EYE},
+     f"WindowOperator(W=1, matrix={_EYE!r})", None),
+])
+def test_value_class_contract(cls, fields, text, as_dict):
+    values = tuple(fields.values())
+    value, same = cls(*values), cls(**fields)
+    assert value == same and not value != same
+    # a field missing or given twice is a TypeError
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, **fields)
+    if cls is repwindow.WindowOperator:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(same)
+    # neither the tuple of the fields nor another class with them is equal
+    other = type("Other", (cls,), {"__slots__": ()})(**fields)
+    for stranger in (values, other):
+        assert value != stranger and not value == stranger
+        assert stranger != value and not stranger == value
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+    if as_dict is not None:
+        assert value.as_dict() == as_dict
+        assert json.loads(value.to_json()) == as_dict

@@ -36,6 +36,18 @@ def test_generator_columns_follow_letters():
         assert other.nnz == 0
 
 
+def test_window_operator_equality():
+    t0, t1 = repwindow.build_generators(4)
+    again = repwindow.build_generators(4)[0]
+    assert t0 is not again and t0 == again and not t0 != again
+    assert t0 != t1 and not t0 == t1
+    # another W, and the same W with a matrix of another shape
+    assert t0 != repwindow.build_generators(5)[0]
+    assert t0 != repwindow.WindowOperator(4, t0.matrix[:-1, :-1])
+    with pytest.raises(TypeError):
+        hash(t0)
+
+
 def test_orthogonal_ranges():
     t0, t1 = repwindow.build_generators(W)
     assert (t0.matrix.T @ t1.matrix).nnz == 0

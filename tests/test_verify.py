@@ -87,8 +87,8 @@ def test_a_shifted_block_fails_combinatorics_at_its_word(monkeypatch):
         if (w, n) != (w0, n0):
             return d
         # the first full block moved into gamma0: the round trip still holds
-        return blocks._trusted(n, d.gamma0 + words.block(d.blocks[0], n),
-                               d.blocks[1:], d.gamma1)
+        return tuple.__new__(blocks.BlockDecomposition, (
+            n, d.gamma0 + words.block(d.blocks[0], n), d.blocks[1:], d.gamma1))
 
     monkeypatch.setattr(blocks, "decompose", shifted)
     assert blocks.recompose(shifted(w0, n0)) == w0
