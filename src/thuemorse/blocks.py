@@ -29,8 +29,8 @@ from functools import lru_cache
 
 from ._value import value_base
 from .errors import InvariantError, LevelError, NotAFactorError
-from .words import (_SHORT_LEVEL, _bits, _complete, _factor_descent, _is_binary, _owner, block,
-                    complement, is_factor)
+from .words import (_SHORT_LEVEL, _bits, _complete, _factor_descent, _from_bits, _is_binary,
+                    _owner, block, complement, is_factor)
 
 
 class BlockDecomposition(value_base("level gamma0 blocks gamma1")):
@@ -71,7 +71,6 @@ def _expansion(level: int) -> tuple:
 # the pairs of the levels whose block(0, level) `words` caches; each adds
 # only the complement to the cached block
 _short_expansion = lru_cache(maxsize=_SHORT_LEVEL + 1)(_expansion)
-_LETTERS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def recompose(d: BlockDecomposition) -> str:
@@ -79,7 +78,7 @@ def recompose(d: BlockDecomposition) -> str:
     n = d.level
     if n == 0:
         # the block letters are the word: one byte translate
-        return d.gamma0 + bytes(d.blocks).translate(_LETTERS).decode() + d.gamma1
+        return d.gamma0 + _from_bits(d.blocks) + d.gamma1
     # a join of the two blocks: str.translate to multi-letter values takes
     # CPython's slow path, about twice as long at level 1
     expand = _short_expansion(n) if n <= _SHORT_LEVEL else _expansion(n)
@@ -137,7 +136,7 @@ def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:
     """
     if len(d.blocks) < 2:
         raise ValueError("completion needs at least two full blocks")
-    c = _complete(d.gamma0, "".join("01"[b] for b in d.blocks), d.gamma1, d.level)
+    c = _complete(d.gamma0, _from_bits(d.blocks), d.gamma1, d.level)
     if c is None:
         raise InvariantError(
             f"gamma0 {d.gamma0!r} or gamma1 {d.gamma1!r} completes no level-{d.level} block")
@@ -158,7 +157,7 @@ def rewrite_five(blocks, n: int):
         raise ValueError("need exactly five 0/1 block letters")
     if n < 0:
         raise ValueError("level must be nonnegative")
-    word = "".join("01"[b] for b in blocks)
+    word = _from_bits(blocks)
     if not is_factor(word):
         raise NotAFactorError(f"block word {word!r} does not expand to a factor")
     c = blocks

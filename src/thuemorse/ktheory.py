@@ -26,7 +26,7 @@ from functools import lru_cache
 from ._value import value_base
 from .blocks import _signature, complete_boundaries, decompose
 from .errors import InvariantError, LevelError
-from .words import factors_of_length, is_factor, require_factor
+from .words import _from_bits, factors_of_length, is_factor, require_factor
 
 
 class K0Element(value_base("level a b")):
@@ -148,7 +148,7 @@ def solve_block_class_table() -> dict:
             if len(c) != 4:
                 raise InvariantError(f"{c!r} has no level-1 regrouping") from None
             return split(c, False)
-        c_up = "".join("01"[bit] for bit in complete_boundaries(d).blocks)
+        c_up = _from_bits(complete_boundaries(d).blocks)
         if len(c_up) >= len(c):
             raise InvariantError(f"regrouping {c!r} as {c_up!r} does not shorten it")
         a, b = value(c_up)

@@ -75,9 +75,9 @@ def _check_window_word(alpha: str, W: int, allow_empty: bool = False):
 
 def build_generators(W: int):
     """The pair (T0, T1) of truncated shift generators."""
+    _check_width(W)
     from scipy import sparse
 
-    _check_width(W)
     letters = _array(_letters(W), 2 * W + 1)[:-1]
     # T_i is the superdiagonal [x[n-1] = i]; CSR keeps no explicit zeros
     return tuple(WindowOperator(W, sparse.csr_matrix(sparse.diags(
@@ -89,9 +89,10 @@ def word_operator(alpha: str, W: int) -> WindowOperator:
 
     Words that are not factors give the zero operator.
     """
+    _check_width(W)
+    _check_window_word(alpha, W)
     from scipy import sparse
 
-    _check_window_word(alpha, W)
     gens = [t.matrix for t in build_generators(W)]
     m = gens[int(alpha[0])]
     for ch in alpha[1:]:
@@ -106,10 +107,10 @@ def range_projection(alpha: str, W: int) -> WindowOperator:
     products): the diagonal entry at n is 1 iff n - |alpha| >= -W and
     the letters at n - |alpha| .. n - 1 spell alpha.
     """
-    from scipy import sparse
-
     _check_width(W)
     _check_window_word(alpha, W, allow_empty=True)
+    from scipy import sparse
+
     diag = _array(_range_diagonal(alpha, W, int(tm_slice(-W, W)[::-1], 2)), 2 * W + 1)
     return WindowOperator(W, sparse.csr_matrix(sparse.diags(diag, dtype="int64")))
 

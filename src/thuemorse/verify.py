@@ -3,8 +3,8 @@
 Each check re-derives an exact identity at desk scale and returns a
 (name, ok, detail) triple.  Quick mode shrinks the bounds; full mode
 runs the documented sizes.  As a CLI process on a shared 2-core x86
-host under Python 3.11, `verify --quick` took 0.15-0.22 s (median
-0.17 s) and `verify --full` 0.26-0.45 s (median 0.31 s) over seven runs
+host under Python 3.11, `verify --quick` took 0.09-0.14 s (median
+0.11 s) and `verify --full` 0.20-0.28 s (median 0.23 s) over ten runs
 each, most of it the exhaustive decomposition loop of
 `check_combinatorics`.
 """

@@ -46,6 +46,7 @@ def _factor_window(L: int) -> int:
 
 _COMPLEMENT = str.maketrans("01", "10")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+_LETTERS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _is_binary(s: str) -> bool:
@@ -57,6 +58,11 @@ def _is_binary(s: str) -> bool:
 def _bits(s: str) -> tuple:
     """The letters of a binary string as the ints 0 and 1, without a Python loop."""
     return tuple(s.encode().translate(_BITS))
+
+
+def _from_bits(bits) -> str:
+    """The inverse of `_bits`: ints 0 and 1 back to a binary string."""
+    return bytes(bits).translate(_LETTERS).decode()
 
 
 def _check_word(w: str, allow_empty: bool = False) -> str:

@@ -1,7 +1,6 @@
 """Independent reference routes, each held once: letters from binary digit
-sums, not the package's doubled blocks; a letter-by-letter scan; brute splits."""
-
-from thuemorse import words
+sums, not the package's doubled blocks; a letter-by-letter scan; brute splits.
+None of them reads the package."""
 
 
 def letters(lo: int, hi: int) -> str:
@@ -18,7 +17,8 @@ def splits(w: str, n: int) -> list:
     """All (gamma0, blocks, gamma1) splittings of w at level n: every offset
     g0 < 2**n leaving two full blocks whose chunks expand their first letters."""
     size = 1 << n
-    bl = (words.block(0, n), words.block(1, n))
+    b0 = letters(0, size)
+    bl = (b0, b0.translate(str.maketrans("01", "10")))
     suffixes = {b[size - g:] for b in bl for g in range(size)}
     prefixes = {b[:g] for b in bl for g in range(size)}
     expand = str.maketrans({"0": bl[0], "1": bl[1]})
@@ -30,5 +30,5 @@ def splits(w: str, n: int) -> list:
             continue
         found = w[g0:end:size]
         if w[g0:end] == found.translate(expand):
-            out.append((w[:g0], words._bits(found), w[end:]))
+            out.append((w[:g0], tuple(map(int, found)), w[end:]))
     return out

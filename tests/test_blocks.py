@@ -271,8 +271,8 @@ def _grid_split(p: int, length: int, n: int) -> tuple:
     """The level-n split of the factor at [p, p + length), read off the grid."""
     size = 1 << n
     q0, q1 = -(-p // size), (p + length) // size
-    letters = tuple(words.tm_letter(q * size) for q in range(q0, q1))
-    return q0 * size - p, letters, p + length - q1 * size
+    grid = tuple(int(letters(q * size, q * size + 1)) for q in range(q0, q1))
+    return q0 * size - p, grid, p + length - q1 * size
 
 
 @given(st.integers(min_value=-(1 << 40), max_value=1 << 40),
@@ -289,7 +289,7 @@ def test_decompose_matches_absolute_grid_on_far_factors(start, length):
             assert splits(w, n) == [(d.gamma0, d.blocks, d.gamma1)]
     # the signature: every top-level block that w meets, read off the grid
     size = 1 << n
-    completed = "".join("01"[words.tm_letter(q * size)]
+    completed = "".join(letters(q * size, q * size + 1)
                         for q in range(start // size, -(-(start + length) // size)))
     assert blocks._signature(w) == (n, completed)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -243,7 +244,10 @@ def test_entry_point_subprocess():
     assert json.loads(proc.stdout) == {"value": "1/6"}
     # the query path imports neither numpy nor scipy
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    assert "thuemorse.trace" in imported
+    # -X importtime lists only imports made by import statements, not the
+    # modules the package's lazy attributes load, so trace's is read from
+    # sys.modules
+    assert "thuemorse.trace" in _loaded_after(["trace", "0110"])
     assert not {m for m in imported if m.split(".")[0] in ("numpy", "scipy")}
     # the value classes are namedtuples: neither dataclasses nor the
     # inspect module it loads is imported, on the query path or by verify
@@ -254,3 +258,35 @@ def test_entry_point_subprocess():
         capture_output=True, text=True, check=True,
     )
     assert probe.stdout == "[]\n"
+
+
+def _loaded_after(argv) -> set:
+    """The modules a fresh interpreter holds after one CLI call."""
+    probe = (f"import sys; from thuemorse import cli; cli.run({argv!r}); "
+             "print(*sorted(sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_a_call_loads_only_the_modules_its_subcommand_uses():
+    def library(modules):
+        return {m for m in modules if m.startswith("thuemorse.")}
+
+    factor = _loaded_after(["factor", "0110"])
+    assert library(factor) == {"thuemorse.cli", "thuemorse.errors", "thuemorse.words"}
+    trace = _loaded_after(["trace", "0110"])
+    unused = {f"thuemorse.{m}" for m in ("verify", "repwindow", "afcore", "extensions", "ktheory")}
+    assert "thuemorse.trace" in trace and not unused & trace
+    for modules in (factor, trace):
+        assert not modules & {"numpy", "scipy", "dataclasses", "inspect"}
+    assert unused <= _loaded_after(["verify", "--quick"])
+
+
+def test_every_subcommand_is_declared_with_its_handler():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [
+        "slice", "factor", "factors", "decompose", "extensions", "trace", "freq",
+        "matrix", "bratteli", "k0-reduce", "k0-eval", "rep-check", "verify"]
+    assert all(callable(p.get_default("run")) for p in sub.choices.values())

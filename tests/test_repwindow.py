@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from scipy import sparse
 
 from thuemorse import repwindow, trace, words
+from reference import letters
 
 W = 256
 
@@ -29,7 +32,7 @@ def test_generator_columns_follow_letters():
     t0, t1 = repwindow.build_generators(W)
     gens = (t0.matrix, t1.matrix)
     for n in (-W + 1, -5, 0, 3, W):
-        letter = words.tm_letter(n - 1)
+        letter = int(letters(n - 1, n))
         col = gens[letter][:, n + W].toarray().ravel()
         assert col[n - 1 + W] == 1 and col.sum() == 1
         other = gens[1 - letter][:, n + W]
@@ -83,7 +86,7 @@ def test_range_projection_empty_word_is_identity():
 def test_range_projection_single_letter():
     p = repwindow.range_projection("0", W).matrix.diagonal()
     for n in range(-W + 1, W + 1):
-        assert p[n + W] == (words.tm_letter(n - 1) == 0)
+        assert p[n + W] == (letters(n - 1, n) == "0")
 
 
 def test_word_operator_support_density():
@@ -156,6 +159,29 @@ def test_validation():
             op(1, W)
         with pytest.raises(ValueError):
             op("012", W)
+
+
+def test_bad_arguments_fail_before_loading_scipy():
+    # each constructor validates first: a bad call raises its usual error
+    # and leaves numpy and scipy unloaded
+    probe = ("import sys\n"
+             "from thuemorse import repwindow as r\n"
+             "for call in (lambda: r.build_generators(0), lambda: r.word_operator('0', 0),\n"
+             "             lambda: r.range_projection('012', 64),\n"
+             "             lambda: r.build_generators((1 << 20) + 1)):\n"
+             "    try:\n"
+             "        call()\n"
+             "    except Exception as exc:\n"
+             "        print(type(exc).__name__, exc)\n"
+             "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == [
+        "ValueError half-width must be positive",
+        "ValueError half-width must be positive",
+        "ValueError word must consist of '0'/'1' only: '012'",
+        f"ResourceLimitError half-width {(1 << 20) + 1} exceeds {1 << 20}",
+        "[]"]
 
 
 def _sparse_residuals(W, maxlen):
