@@ -17,5 +17,9 @@ class ResourceLimitError(ThueMorseError, ValueError):
     """A size argument exceeds the configured maximum."""
 
 
+class MissingExtraError(ThueMorseError, ImportError):
+    """An optional dependency is not installed; the message names the extra."""
+
+
 class InvariantError(ThueMorseError, RuntimeError):
     """An internal invariant failed; this signals a bug, not bad input."""

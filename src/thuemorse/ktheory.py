@@ -25,8 +25,14 @@ from functools import lru_cache
 
 from ._value import value_base
 from .blocks import _signature, complete_boundaries, decompose
-from .errors import InvariantError, LevelError
+from .errors import InvariantError, LevelError, ResourceLimitError
 from .words import _from_bits, factors_of_length, is_factor, require_factor
+
+# Highest level `evaluate` accepts.  Its value has a 6 * 2**level
+# denominator, and 2**8192 has 2 467 digits, inside Python's default
+# limit of 4 300 digits for int-to-str conversion.  Levels reached from
+# words are at most 21.
+MAX_EVALUATE_LEVEL = 1 << 13
 
 
 class K0Element(value_base("level a b")):
@@ -90,6 +96,8 @@ def is_positive(e: K0Element) -> bool:
 
 def evaluate(e: K0Element) -> Fraction:
     """Trace evaluation: (a + b)/(6 * 2^level); promote-invariant."""
+    if e.level > MAX_EVALUATE_LEVEL:
+        raise ResourceLimitError(f"level {e.level} exceeds {MAX_EVALUATE_LEVEL}")
     return Fraction(e.a + e.b, 6 * 2 ** e.level)
 
 

@@ -11,13 +11,16 @@ n + W is its entry at n, and the relations are exact `&`, `^`, `|` and
 shift identities that hold with residual exactly zero on the interior
 band where the truncation is invisible.  The sparse matrices of
 `build_generators`, `word_operator` and `range_projection` are built
-only when asked for, and only they load numpy and scipy.
+only when asked for, and only they load numpy and scipy, the `sparse`
+extra; without it they raise MissingExtraError after checking their
+arguments.
 """
 
+import importlib
 from fractions import Fraction
 
 from ._value import value_base
-from .errors import ResourceLimitError
+from .errors import MissingExtraError, ResourceLimitError
 from .words import _check_word, _factors_upto, _prefix_count, require_factor, tm_slice
 
 MAX_HALF_WIDTH = 1 << 20
@@ -52,9 +55,19 @@ def _letters(W: int) -> int:
     return int(tm_slice(-W, W + 1)[::-1], 2)
 
 
+def _extra(module: str):
+    """A module of the `sparse` extra, imported on first use."""
+    try:
+        return importlib.import_module(module)
+    except ImportError as exc:
+        raise MissingExtraError(
+            f"{module} is not installed; install the extra: pip install 'thuemorse[sparse]'"
+        ) from exc
+
+
 def _array(bits: int, size: int):
     """Bits 0..size-1 of an int as a 0/1 uint8 array."""
-    import numpy as np
+    np = _extra("numpy")
 
     raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[:size]
@@ -76,7 +89,7 @@ def _check_window_word(alpha: str, W: int, allow_empty: bool = False):
 def build_generators(W: int):
     """The pair (T0, T1) of truncated shift generators."""
     _check_width(W)
-    from scipy import sparse
+    sparse = _extra("scipy.sparse")
 
     letters = _array(_letters(W), 2 * W + 1)[:-1]
     # T_i is the superdiagonal [x[n-1] = i]; CSR keeps no explicit zeros
@@ -91,7 +104,7 @@ def word_operator(alpha: str, W: int) -> WindowOperator:
     """
     _check_width(W)
     _check_window_word(alpha, W)
-    from scipy import sparse
+    sparse = _extra("scipy.sparse")
 
     gens = [t.matrix for t in build_generators(W)]
     m = gens[int(alpha[0])]
@@ -109,7 +122,7 @@ def range_projection(alpha: str, W: int) -> WindowOperator:
     """
     _check_width(W)
     _check_window_word(alpha, W, allow_empty=True)
-    from scipy import sparse
+    sparse = _extra("scipy.sparse")
 
     diag = _array(_range_diagonal(alpha, W, int(tm_slice(-W, W)[::-1], 2)), 2 * W + 1)
     return WindowOperator(W, sparse.csr_matrix(sparse.diags(diag, dtype="int64")))

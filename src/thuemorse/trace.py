@@ -29,6 +29,10 @@ from .words import (_check_word, _factors_upto, _prefix_count, complement, is_fa
 
 MAX_FREQUENCY_WINDOW = 1 << 26
 MAX_BLOCK_TRACE_LEVEL = 30
+# Highest level of `matrix_iterate` and `uniqueness_interval`: their
+# values have 2**N denominators, and 2**8192 has 2 467 digits, inside
+# Python's default limit of 4 300 digits for int-to-str conversion.
+MAX_MATRIX_LEVEL = 1 << 13
 # every completed block word has at most six letters
 MAX_PEEL_LENGTH = 6
 
@@ -125,6 +129,8 @@ def matrix_iterate(t, n: int):
         raise ValueError("t must lie in [0, 1/2]")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > MAX_MATRIX_LEVEL:
+        raise ResourceLimitError(f"n {n} exceeds {MAX_MATRIX_LEVEL}")
     u = (3 * t - _HALF) * (-1) ** n
     return ((_HALF ** (n + 1) + u) / 3, (_HALF ** n - u) / 3)
 
@@ -139,6 +145,8 @@ def uniqueness_interval(N: int):
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if N > MAX_MATRIX_LEVEL:
+        raise ResourceLimitError(f"N {N} exceeds {MAX_MATRIX_LEVEL}")
     odd = N % 2
     return ((_HALF - _HALF ** (N + 1 - odd)) / 3, (_HALF + _HALF ** (N + odd)) / 3)
 

@@ -6,7 +6,9 @@ w[-i] = w[i-1].  Words are plain strings over the alphabet "01".
 Factor membership is decided exactly by one de-substitution per level
 (`_descent`), on the grid that any 00 or 11 fixes; the same descent
 yields the block decompositions and the signature that trace and K0
-class read (`blocks`).
+class read (`blocks`).  A word is validated (`_check_word`) where it is
+descended: a short word once, when its descent is first memoised, so a
+repeated query pays one lookup and no O(|w|) re-check.
 
 No prefix of the sequence is held.  The aligned level-k block j of the
 sequence, w[j 2**k] ... w[(j + 1) 2**k - 1], is block(0, k) when w[j] = 0
@@ -277,13 +279,20 @@ def _descent(w: str):
     decides membership: w is a subword of the completed word's expansion,
     and a factor lifts on its own grid, so w is a factor exactly when the
     completed word is.
+
+    `_descend` validates w (`_check_word`) before it lifts.  An exact str
+    of at most MAX_CACHED_LENGTH letters goes through the memo, which
+    stores no call that raises, so every key is a checked word and a
+    repeated word is checked once; any other input is checked on every
+    call.
     """
-    if len(w) <= MAX_CACHED_LENGTH:
+    if type(w) is str and len(w) <= MAX_CACHED_LENGTH:
         return _short_descent(w)
     return _descend(w)
 
 
 def _descend(w: str):
+    _check_word(w)
     chain = []
     c, off = w, 0
     while True:
@@ -362,13 +371,11 @@ _short_prefix_count = lru_cache(maxsize=1 << 12)(_count_step)
 
 def is_factor(w: str) -> bool:
     """Whether w occurs in the Thue-Morse sequence."""
-    _check_word(w)
     return _descent(w) is not None
 
 
 def _factor_descent(w: str) -> tuple:
-    """`_descent(w)` of a checked word; raises NotAFactorError for a non-factor."""
-    _check_word(w)
+    """`_descent(w)`, checking w; raises NotAFactorError for a non-factor."""
     found = _descent(w)
     if found is None:
         raise NotAFactorError(f"{w!r} does not occur in the Thue-Morse sequence")

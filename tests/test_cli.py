@@ -161,6 +161,13 @@ OVER_CAP = "0" * (words.MAX_WORD_LENGTH + 1)
     (["slice", str(1 << 40), str((1 << 40) + 10)], 0),
     (["slice", "-70000000", "-69999990"], 0),
     (["slice", "0", str((1 << 26) + 1)], 1),
+    # outputs with 2**8192 denominators still print; one level more is refused
+    (["k0-eval", "--a", "1", "--b", "1", "--level", "8192"], 0),
+    (["k0-eval", "--a", "1", "--b", "1", "--level", "8193"], 1),
+    (["matrix", "1/6", "8192"], 0),
+    (["matrix", "1/6", "8193"], 1),
+    (["matrix", "--interval", "8192"], 0),
+    (["matrix", "--interval", "8193"], 1),
 ])
 def test_boundary_values(capsys, argv, code):
     got, payload = run_json(capsys, argv)

@@ -19,8 +19,9 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thuemorse import blocks, ktheory, trace, words
-from thuemorse.errors import InvariantError
+from thuemorse import blocks, extensions, ktheory, trace, words
+from thuemorse.errors import (InvariantError, LevelError, NotAFactorError,
+                              ResourceLimitError)
 from reference import letters
 
 
@@ -171,3 +172,114 @@ def test_an_uncached_factor_is_lifted_once_per_public_call(monkeypatch):
     _pipeline(w)
     # five calls descend w; complete_boundaries only its block word
     assert lifted[0] <= 10 * len(w) + 2 * 6
+
+
+def _count_checks(monkeypatch) -> list:
+    checked = []
+    real = words._check_word
+
+    def counting(w, allow_empty=False):
+        checked.append(w)
+        return real(w, allow_empty)
+
+    monkeypatch.setattr(words, "_check_word", counting)
+    return checked
+
+
+def _five_queries(w: str):
+    words.is_factor(w)
+    blocks.decompose(w, blocks.choose_level(w))
+    trace.trace_range(w)
+    ktheory.reduce_class(w)
+
+
+def test_a_cached_word_is_checked_once(monkeypatch):
+    checked = _count_checks(monkeypatch)
+    w = letters((1 << 46) + 6061, (1 << 46) + 6361)  # a word no other test builds
+    assert len(w) <= words.MAX_CACHED_LENGTH
+    _five_queries(w)
+    # checked on the memo's miss; the four hits reuse that check
+    assert checked == [w]
+    long_word = words.tm_slice(1 << 45, (1 << 45) + words.MAX_CACHED_LENGTH + 1)
+    _five_queries(long_word)
+    assert checked[1:] == [long_word] * 5
+
+
+class _Word(str):
+    pass
+
+
+_LONG_NON_FACTOR = "0" * 5000
+_OVER_CAP = "0" * (words.MAX_WORD_LENGTH + 1)
+_NOT_BINARY = "word must consist of '0'/'1' only: "
+# inputs that every word query rejects, with the error each gives
+_REJECTED = [
+    ("", ValueError, "empty word not allowed here"),
+    ("012", ValueError, _NOT_BINARY + "'012'"),
+    ("٠١١٠", ValueError, _NOT_BINARY + "'٠١١٠'"),
+    (5, TypeError, "word must be a string, got int"),
+    (None, TypeError, "word must be a string, got NoneType"),
+    (b"01", TypeError, "word must be a string, got bytes"),
+    (["0", "1"], TypeError, "word must be a string, got list"),
+    (_OVER_CAP, ResourceLimitError, f"word length {len(_OVER_CAP)} exceeds {words.MAX_WORD_LENGTH}"),
+    (_LONG_NON_FACTOR, NotAFactorError,
+     f"{_LONG_NON_FACTOR!r} does not occur in the Thue-Morse sequence"),
+]
+_QUERIES = {
+    "is_factor": words.is_factor,
+    "require_factor": words.require_factor,
+    "choose_level": blocks.choose_level,
+    "decompose0": lambda w: blocks.decompose(w, 0),
+    "decompose1": lambda w: blocks.decompose(w, 1),
+    "decompose-1": lambda w: blocks.decompose(w, -1),
+    "trace_range": trace.trace_range,
+    "reduce_class": ktheory.reduce_class,
+    "extension_set": lambda w: extensions.extension_set(w, 1, 1),
+}
+
+
+def _outcome(query, w):
+    try:
+        return query(w)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_rejected_words_raise_on_every_call_and_stay_out_of_the_memo():
+    memo = words._short_descent
+    memo.cache_clear()  # a full memo would hide a stored key
+    for w, error, message in _REJECTED:
+        for name, query in _QUERIES.items():
+            expected = (error, message)
+            if name == "is_factor" and error is NotAFactorError:
+                expected = False
+            for _ in range(2):
+                size = memo.cache_info().currsize
+                assert _outcome(query, w) == expected, (w, name)
+                assert memo.cache_info().currsize == size, (w, name)
+
+
+def test_edge_words_answer_the_same_on_a_repeated_call():
+    long_factor = words.tm_slice(-(1 << 44), -(1 << 44) + 5000)
+    expected = {
+        ("0", "choose_level"): (LevelError, "words of length < 2 have no block decomposition"),
+        ("0", "decompose-1"): (LevelError, "words of length < 2 have no block decomposition"),
+        ("0110100", "decompose-1"): (ValueError, "level must be nonnegative"),
+        (long_factor, "decompose-1"): (ValueError, "level must be nonnegative"),
+        (long_factor, "extension_set"): (ResourceLimitError, "extended length 5002 exceeds 4096"),
+    }
+    memo = words._short_descent
+    for w in ("0", "0110100", long_factor):
+        for name, query in _QUERIES.items():
+            first = _outcome(query, w)
+            assert first == _outcome(query, w), (w, name)
+            if (w, name) in expected:
+                assert first == expected[w, name]
+    # a str subclass is descended without entering the memo, and gets the
+    # answers of its plain value (extension_set's candidates are plain strs)
+    fresh = _Word(letters((1 << 43) + 99, (1 << 43) + 199))  # a word no other test builds
+    queries = [query for name, query in _QUERIES.items() if name != "extension_set"]
+    memo.cache_clear()
+    answers = [_outcome(query, fresh) for query in queries]
+    assert memo.cache_info()[:] == (0, 0, memo.cache_info().maxsize, 0)
+    assert answers == [_outcome(query, str(fresh)) for query in queries]

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thuemorse import blocks, ktheory, trace, words
-from thuemorse.errors import InvariantError, LevelError, NotAFactorError
+from thuemorse.errors import InvariantError, LevelError, NotAFactorError, ResourceLimitError
 from thuemorse.ktheory import K0Element
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -150,6 +150,17 @@ def test_evaluate_examples():
     assert ktheory.evaluate(K0Element(0, 1, -1)) == 0
     assert ktheory.evaluate(K0Element(0, 2, 4)) == 1
     assert ktheory.evaluate(K0Element(3, 1, 0)) == Fraction(1, 48)
+
+
+def test_evaluate_level_cap():
+    cap = ktheory.MAX_EVALUATE_LEVEL
+    assert cap == 1 << 13
+    assert ktheory.evaluate(K0Element(cap, 1, 1)) == Fraction(1, 3 * 2 ** cap)
+    with pytest.raises(ResourceLimitError, match=f"level {cap + 1} exceeds {cap}"):
+        ktheory.evaluate(K0Element(cap + 1, 1, 1))
+    # the group operations stay uncapped
+    far = ktheory.k0_add(K0Element(0, 1, 0), K0Element(cap + 1, 0, 1))
+    assert far.level == cap + 1
 
 
 def test_reduce_examples():

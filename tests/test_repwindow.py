@@ -9,6 +9,7 @@ import pytest
 from scipy import sparse
 
 from thuemorse import repwindow, trace, words
+from thuemorse.errors import MissingExtraError, ThueMorseError
 from reference import letters
 
 W = 256
@@ -182,6 +183,36 @@ def test_bad_arguments_fail_before_loading_scipy():
         "ValueError word must consist of '0'/'1' only: '012'",
         f"ResourceLimitError half-width {(1 << 20) + 1} exceeds {1 << 20}",
         "[]"]
+
+
+def test_without_the_sparse_extra_only_the_matrices_fail():
+    # None in sys.modules makes every import of numpy or scipy fail, as on
+    # an install without the [sparse] extra
+    probe = ("import sys\n"
+             "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+             "from thuemorse import repwindow as r, trace_range\n"
+             "for call in (lambda: r.build_generators(8), lambda: r.word_operator('01', 8),\n"
+             "             lambda: r.range_projection('01', 8), lambda: r._array(5, 3),\n"
+             "             lambda: r.build_generators(0), lambda: r.range_projection('012', 8)):\n"
+             "    try:\n"
+             "        call()\n"
+             "    except Exception as exc:\n"
+             "        print(type(exc).__name__, exc)\n"
+             "print(r.axiom_residuals(256, 4), r.empirical_trace('01', 64), trace_range('0110'))\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, check=True)
+    scipy_missing = ("MissingExtraError scipy.sparse is not installed; "
+                     "install the extra: pip install 'thuemorse[sparse]'")
+    assert proc.stdout.splitlines() == [
+        scipy_missing, scipy_missing, scipy_missing,
+        "MissingExtraError numpy is not installed; "
+        "install the extra: pip install 'thuemorse[sparse]'",
+        # arguments are checked before the extra is looked for
+        "ValueError half-width must be positive",
+        "ValueError word must consist of '0'/'1' only: '012'",
+        "{'axiom_i': 0, 'axiom_ii': 0, 'axiom_iii': 0, 'axiom_iv': 0} 42/127 1/6"]
+    assert issubclass(MissingExtraError, ThueMorseError)
+    assert issubclass(MissingExtraError, ImportError)
 
 
 def _sparse_residuals(W, maxlen):

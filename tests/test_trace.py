@@ -192,6 +192,17 @@ def test_matrix_iterate_validation():
         trace.uniqueness_interval(0)
 
 
+def test_matrix_level_cap():
+    cap = trace.MAX_MATRIX_LEVEL
+    assert cap == 1 << 13
+    assert trace.matrix_iterate(SIXTH, cap) == (Fraction(1, 6 * 2 ** cap), Fraction(1, 3 * 2 ** cap))
+    assert trace.uniqueness_interval(cap)[0] < SIXTH < trace.uniqueness_interval(cap)[1]
+    with pytest.raises(ResourceLimitError, match=f"n {cap + 1} exceeds {cap}"):
+        trace.matrix_iterate(SIXTH, cap + 1)
+    with pytest.raises(ResourceLimitError, match=f"N {cap + 1} exceeds {cap}"):
+        trace.uniqueness_interval(cap + 1)
+
+
 def test_uniqueness_interval_examples():
     lo, hi = trace.uniqueness_interval(1)
     assert lo < SIXTH < hi
