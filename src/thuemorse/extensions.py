@@ -4,20 +4,39 @@ ext(w, m, n) is the set of factors obtained from w by prepending m
 letters and appending n letters.  For |w| >= 2 the two-sided one-letter
 extension count is always 1, 2 or 4; the single letters are the only
 words with count 3.
+
+A call whose worst-case result is short is memoised the way
+`words._descent` is: the memo runs the whole checked body on a miss and
+stores no call that raises, so every key is a checked factor and a
+repeated call is one lookup.  The worst case is 2**(m + n) words of
+|w| + m + n letters, and only an exact str w with exact int m, n >= 0
+whose worst case fits in `words.MAX_CACHED_LENGTH` letters is a key;
+every other call runs the same body uncached.
 """
 
+from functools import lru_cache
+
 from .errors import ResourceLimitError
-from .words import is_factor, require_factor
+from .words import MAX_CACHED_LENGTH, is_factor, require_factor
 
 MAX_EXTENSION_LENGTH = 4096
 
 
 def extension_set(w: str, m: int, n: int) -> list:
-    """All factors b0 + w + b1 with |b0| = m and |b1| = n, sorted.
+    """All factors b0 + w + b1 with |b0| = m and |b1| = n, sorted, as a new list.
 
     Built letter by letter with factor pruning, which is exact because
     every subword of a factor is a factor.
     """
+    # MAX_CACHED_LENGTH >> (m + n) rather than (...) << (m + n): a huge
+    # m + n must not build a huge int
+    if (type(w) is str and type(m) is int and type(n) is int and m >= 0 and n >= 0
+            and len(w) + m + n <= MAX_CACHED_LENGTH >> (m + n)):
+        return list(_short_extension_set(w, m, n))
+    return _extend(w, m, n)
+
+
+def _extend(w: str, m: int, n: int) -> list:
     require_factor(w)
     if m < 0 or n < 0:
         raise ValueError("extension lengths must be nonnegative")
@@ -30,6 +49,12 @@ def extension_set(w: str, m: int, n: int) -> list:
     for _ in range(m):
         words = [a + u for u in words for a in "01" if is_factor(a + u)]
     return sorted(words)
+
+
+# an entry holds its key word and at most MAX_CACHED_LENGTH result letters
+@lru_cache(maxsize=1 << 11)
+def _short_extension_set(w: str, m: int, n: int) -> tuple:
+    return tuple(_extend(w, m, n))
 
 
 def classify_extension_count(w: str) -> int:

@@ -33,6 +33,10 @@ MAX_BLOCK_TRACE_LEVEL = 30
 # values have 2**N denominators, and 2**8192 has 2 467 digits, inside
 # Python's default limit of 4 300 digits for int-to-str conversion.
 MAX_MATRIX_LEVEL = 1 << 13
+# Largest bit length of t's denominator in `matrix_iterate`.  Its values'
+# denominators divide 3 * 2**(N + 1) times t's, so at both caps they have
+# at most 12 291 bits (3 700 digits), and every accepted (t, N) prints.
+MAX_MATRIX_T_BITS = 1 << 12
 # every completed block word has at most six letters
 MAX_PEEL_LENGTH = 6
 
@@ -131,6 +135,9 @@ def matrix_iterate(t, n: int):
         raise ValueError("n must be nonnegative")
     if n > MAX_MATRIX_LEVEL:
         raise ResourceLimitError(f"n {n} exceeds {MAX_MATRIX_LEVEL}")
+    if t.denominator.bit_length() > MAX_MATRIX_T_BITS:
+        raise ResourceLimitError(f"denominator of t has {t.denominator.bit_length()} bits, "
+                                 f"exceeds {MAX_MATRIX_T_BITS}")
     u = (3 * t - _HALF) * (-1) ** n
     return ((_HALF ** (n + 1) + u) / 3, (_HALF ** n - u) / 3)
 

@@ -168,6 +168,12 @@ OVER_CAP = "0" * (words.MAX_WORD_LENGTH + 1)
     (["matrix", "1/6", "8193"], 1),
     (["matrix", "--interval", "8192"], 0),
     (["matrix", "--interval", "8193"], 1),
+    # the longest extended word, and one letter more
+    (["extensions", words.tm_slice(0, 4094), "1", "1"], 0),
+    (["extensions", words.tm_slice(0, 4094), "1", "2"], 1),
+    # t with a denominator of 4096 bits still prints at the top level; 4097 is refused
+    (["matrix", "1/" + str((1 << 4096) - 1), "8192"], 0),
+    (["matrix", "1/" + str(1 << 4096), "8192"], 1),
 ])
 def test_boundary_values(capsys, argv, code):
     got, payload = run_json(capsys, argv)

@@ -246,17 +246,18 @@ def _outcome(query, w):
 
 
 def test_rejected_words_raise_on_every_call_and_stay_out_of_the_memo():
-    memo = words._short_descent
-    memo.cache_clear()  # a full memo would hide a stored key
+    memos = (words._short_descent, extensions._short_extension_set)
+    for memo in memos:
+        memo.cache_clear()  # a full memo would hide a stored key
     for w, error, message in _REJECTED:
         for name, query in _QUERIES.items():
             expected = (error, message)
             if name == "is_factor" and error is NotAFactorError:
                 expected = False
             for _ in range(2):
-                size = memo.cache_info().currsize
+                sizes = [memo.cache_info().currsize for memo in memos]
                 assert _outcome(query, w) == expected, (w, name)
-                assert memo.cache_info().currsize == size, (w, name)
+                assert [memo.cache_info().currsize for memo in memos] == sizes, (w, name)
 
 
 def test_edge_words_answer_the_same_on_a_repeated_call():
@@ -268,13 +269,16 @@ def test_edge_words_answer_the_same_on_a_repeated_call():
         (long_factor, "decompose-1"): (ValueError, "level must be nonnegative"),
         (long_factor, "extension_set"): (ResourceLimitError, "extended length 5002 exceeds 4096"),
     }
-    memo = words._short_descent
+    memo, extension_memo = words._short_descent, extensions._short_extension_set
+    extension_memo.cache_clear()
     for w in ("0", "0110100", long_factor):
         for name, query in _QUERIES.items():
             first = _outcome(query, w)
             assert first == _outcome(query, w), (w, name)
             if (w, name) in expected:
                 assert first == expected[w, name]
+    # "0" and "0110100" are keys; the over-bound call is not
+    assert extension_memo.cache_info().currsize == 2
     # a str subclass is descended without entering the memo, and gets the
     # answers of its plain value (extension_set's candidates are plain strs)
     fresh = _Word(letters((1 << 43) + 99, (1 << 43) + 199))  # a word no other test builds
@@ -283,3 +287,9 @@ def test_edge_words_answer_the_same_on_a_repeated_call():
     answers = [_outcome(query, fresh) for query in queries]
     assert memo.cache_info()[:] == (0, 0, memo.cache_info().maxsize, 0)
     assert answers == [_outcome(query, str(fresh)) for query in queries]
+    # nor the extension memo
+    extension_memo.cache_clear()
+    extend = _QUERIES["extension_set"]
+    answer = _outcome(extend, fresh)
+    assert extension_memo.cache_info().currsize == 0
+    assert answer == _outcome(extend, str(fresh))

@@ -82,4 +82,46 @@ def test_extension_sets_are_factor_scans(oracle_prefix):
                 for i in range(len(oracle_prefix) - L + 1)
                 if oracle_prefix[i + m:i + m + len(w)] == w
             })
-            assert extensions.extension_set(w, m, n) == scan
+            # the second ask is answered by the memo
+            for _ in range(2):
+                assert extensions.extension_set(w, m, n) == scan
+
+
+def test_a_repeat_returns_a_new_equal_list():
+    first = extensions.extension_set("0110", 1, 1)
+    second = extensions.extension_set("0110", 1, 1)
+    assert second == first and second is not first
+    second[0] = "x"
+    assert extensions.extension_set("0110", 1, 1) == first
+    assert first == ["001100", "001101", "101100", "101101"]
+
+
+def test_a_repeated_call_makes_no_descent(monkeypatch):
+    # a word no other test builds; the first call fills the memo
+    w = words.tm_slice((1 << 42) + 31, (1 << 42) + 131)
+    extensions._short_extension_set.cache_clear()
+    first = extensions.extension_set(w, 1, 1)
+    descents = []
+    real = words._descent
+    monkeypatch.setattr(words, "_descent", lambda u: descents.append(u) or real(u))
+    assert extensions.extension_set(w, 1, 1) == first
+    assert descents == []
+
+
+def test_only_calls_with_a_short_worst_case_are_keys():
+    # the worst case is 2**(m + n) words of |w| + m + n letters, at most
+    # MAX_CACHED_LENGTH letters in all: |w| <= 1022 for (1, 1)
+    memo = extensions._short_extension_set
+    assert memo.cache_info().maxsize == 1 << 11
+    memo.cache_clear()
+    cap = words.MAX_CACHED_LENGTH
+    at, past = words.tm_slice(5, 5 + 1022), words.tm_slice(5, 5 + 1023)
+    for w, m, n in [(at, 1, 1), (past, 1, 1), (at, True, 1),
+                    (words.tm_slice(0, cap), 0, 0), (words.tm_slice(0, cap - 1), 0, 1)]:
+        assert extensions.extension_set(w, m, n) == extensions._extend(w, m, n)
+    assert memo.cache_info().currsize == 2
+    with pytest.raises(TypeError):
+        extensions.extension_set(at, 1, 1.0)
+    with pytest.raises(ResourceLimitError, match=f"extended length {10 ** 30 + 1} exceeds"):
+        extensions.extension_set("0", 10 ** 30, 0)
+    assert memo.cache_info().currsize == 2

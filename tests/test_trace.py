@@ -203,6 +203,22 @@ def test_matrix_level_cap():
         trace.uniqueness_interval(cap + 1)
 
 
+def test_matrix_t_size_cap():
+    bits, top = trace.MAX_MATRIX_T_BITS, trace.MAX_MATRIX_LEVEL
+    assert bits == 1 << 12
+    q = (1 << bits) - 1
+    # the values of every accepted (t, N) print within the int-to-str limit
+    for t in (Fraction(1, q), Fraction((q - 1) // 2, q)):
+        for n in (top - 1, top):
+            for v in trace.matrix_iterate(t, n):
+                assert abs(v.numerator) <= v.denominator and len(str(v.denominator)) <= 3700
+    for t in (Fraction(1, q + 1), Fraction(1, int("7" * 4000))):
+        with pytest.raises(ResourceLimitError,
+                           match=f"denominator of t has {t.denominator.bit_length()} bits, "
+                                 f"exceeds {bits}"):
+            trace.matrix_iterate(t, top)
+
+
 def test_uniqueness_interval_examples():
     lo, hi = trace.uniqueness_interval(1)
     assert lo < SIXTH < hi
