@@ -14,7 +14,7 @@ from functools import lru_cache
 from ._value import value_base
 from .errors import ResourceLimitError
 from .trace import trace_range
-from .words import factors_of_length
+from .words import _check_int, factors_of_length
 
 MAX_LEVEL = 12
 
@@ -49,15 +49,19 @@ def _check_level(k: int) -> None:
         raise ResourceLimitError(f"level must lie in [1, {MAX_LEVEL}]")
 
 
+# a lone int argument is its own key and a float's is a tuple, so af_level(2.0)
+# misses af_level(2)'s entry and reaches the check
 @lru_cache(maxsize=MAX_LEVEL)
 def af_level(k: int) -> AfLevel:
     """Level k of the tower: basis = factors of length 2k, sorted."""
+    k = _check_int(k, "k")
     _check_level(k)
     return AfLevel(k, tuple(factors_of_length(2 * k)))
 
 
 def inclusion_matrix(k: int) -> InclusionMatrix:
     """Inclusion of level k into level k+1 as a 0/1 matrix."""
+    k = _check_int(k, "k")
     if not 1 <= k <= MAX_LEVEL - 1:
         raise ResourceLimitError(f"level must lie in [1, {MAX_LEVEL - 1}]")
     cols = af_level(k).basis

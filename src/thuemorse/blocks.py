@@ -11,7 +11,8 @@ from the one descent that also decides membership, `words._descent`,
 which is cached for words of at most `words.MAX_CACHED_LENGTH` letters:
 `is_factor`, `choose_level`, `decompose`, `trace_range` and
 `reduce_class` of one such word descend once, and each call on a
-longer word descends once.
+longer word descends once.  The module caches nothing: `recompose` reads
+both blocks of a level from `words._pair`.
 
 Decompositions that `decompose` and `complete_boundaries` read off the
 chain are built by `tuple.__new__`, which skips the checks of
@@ -25,12 +26,10 @@ BlockDecomposition built, or (0, w) without a level-1 grid.  Trace and
 K0 class are functions of it alone.
 """
 
-from functools import lru_cache
-
 from ._value import value_base
 from .errors import InvariantError, LevelError, NotAFactorError
-from .words import (_SHORT_LEVEL, _bits, _complete, _factor_descent, _from_bits, _is_binary,
-                    _owner, block, complement, is_factor)
+from .words import (_bits, _complete, _factor_descent, _from_bits, _is_binary, _owner, _pair,
+                    is_factor)
 
 
 class BlockDecomposition(value_base("level gamma0 blocks gamma1")):
@@ -63,26 +62,16 @@ class BlockDecomposition(value_base("level gamma0 blocks gamma1")):
         return {**self._asdict(), "blocks": list(self.blocks)}
 
 
-def _expansion(level: int) -> tuple:
-    b0 = block(0, level)
-    return b0, complement(b0)
-
-
-# the pairs of the levels whose block(0, level) `words` caches; each adds
-# only the complement to the cached block
-_short_expansion = lru_cache(maxsize=_SHORT_LEVEL + 1)(_expansion)
-
-
 def recompose(d: BlockDecomposition) -> str:
     """Expand a decomposition back into the word it describes."""
     n = d.level
     if n == 0:
         # the block letters are the word: one byte translate
         return d.gamma0 + _from_bits(d.blocks) + d.gamma1
-    # a join of the two blocks: str.translate to multi-letter values takes
-    # CPython's slow path, about twice as long at level 1
-    expand = _short_expansion(n) if n <= _SHORT_LEVEL else _expansion(n)
-    return d.gamma0 + "".join([expand[b] for b in d.blocks]) + d.gamma1
+    # a join of the two blocks of `words._pair`: str.translate to
+    # multi-letter values takes CPython's slow path, twice as long at level 1
+    pair = _pair(n)
+    return d.gamma0 + "".join([pair[b] for b in d.blocks]) + d.gamma1
 
 
 def _chain(w: str) -> tuple:

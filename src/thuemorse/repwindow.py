@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from ._value import value_base
 from .errors import MissingExtraError, ResourceLimitError
-from .words import _check_word, _factors_upto, _prefix_count, require_factor, tm_slice
+from .words import _check_int, _check_word, _factors_upto, _prefix_count, require_factor, tm_slice
 
 MAX_HALF_WIDTH = 1 << 20
 # Largest (factor count) x (2W + 1) that `axiom_residuals` holds as range
@@ -150,6 +150,7 @@ def axiom_residuals(W: int, maxlen: int) -> dict:
     and s_a* s_b = 0, and the sum decomposition of p_A over outgoing
     letters.  All residuals must be exactly zero.
     """
+    W, maxlen = _check_int(W, "W"), _check_int(maxlen, "maxlen")
     _check_width(W)
     if maxlen < 1 or maxlen > W // 8:
         raise ValueError("maxlen must lie in [1, W/8]")
@@ -215,6 +216,7 @@ def empirical_trace(alpha: str, W: int) -> Fraction:
     overlap-freeness makes its non-overlapping count the full one.
     Time and memory are O(|alpha| + log W) beyond the counter's memo.
     """
+    W = _check_int(W, "W")
     _check_width(W)
     _check_window_word(alpha, W, allow_empty=True)
     if not alpha:

@@ -24,8 +24,8 @@ from functools import lru_cache
 
 from .blocks import _signature
 from .errors import ResourceLimitError
-from .words import (_check_word, _factors_upto, _prefix_count, complement, is_factor,
-                    require_factor)
+from .words import (_check_int, _check_word, _factors_upto, _prefix_count, complement,
+                    is_factor, require_factor)
 
 MAX_FREQUENCY_WINDOW = 1 << 26
 MAX_BLOCK_TRACE_LEVEL = 30
@@ -128,6 +128,7 @@ def matrix_iterate(t, n: int):
     so with u = 3t - 1/2 the pair is ((2^-(n+1) + (-1)^n u)/3,
     (2^-n - (-1)^n u)/3), read off without iterating.
     """
+    n = _check_int(n, "n")
     t = Fraction(t)
     if not 0 <= t <= _HALF:
         raise ValueError("t must lie in [0, 1/2]")
@@ -150,6 +151,7 @@ def uniqueness_interval(N: int):
     N alone fixes the answer.  It shrinks to the single admissible value
     1/6 as N grows; the width is at most 2**-N.
     """
+    N = _check_int(N, "N")
     if N < 1:
         raise ValueError("N must be >= 1")
     if N > MAX_MATRIX_LEVEL:
@@ -166,6 +168,7 @@ def frequency(w: str, N: int) -> Fraction:
     recursion of `words._prefix_count`, which halves N per level and
     never builds the prefix, so it costs O(|w| + log N).
     """
+    N = _check_int(N, "N")
     require_factor(w)
     if N > MAX_FREQUENCY_WINDOW:
         raise ResourceLimitError(f"window {N} exceeds {MAX_FREQUENCY_WINDOW}")

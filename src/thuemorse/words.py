@@ -11,19 +11,20 @@ descended: a short word once, when its descent is first memoised, so a
 repeated query pays one lookup and no O(|w|) re-check.
 
 No prefix of the sequence is held.  The aligned level-k block j of the
-sequence, w[j 2**k] ... w[(j + 1) 2**k - 1], is block(0, k) when w[j] = 0
-and its complement when w[j] = 1 (the sequence is 2-automatic; Allouche &
-Shallit, Automatic Sequences, 2003).  So a window of n letters, at any
-offset, is read off the two aligned blocks of level (n - 1).bit_length()
-that hold it, in O(n + log offset) time and memory.  block(0, k) is
-cached for the 13 levels of at most MAX_CACHED_LENGTH letters, 8191
-letters in all.  Thue-Morse is overlap-free (Thue 1912), so no two
+sequence, w[j 2**k] ... w[(j + 1) 2**k - 1], is block(w[j], k) (the
+sequence is 2-automatic; Allouche & Shallit, Automatic Sequences, 2003).
+One table holds both blocks of the 13 levels of at most MAX_CACHED_LENGTH
+letters.  A window of n <= MAX_CACHED_LENGTH letters, at any offset, is
+read off the two blocks of level (n - 1).bit_length() that hold it, and
+a longer one off the top-level blocks that it meets, in O(n + log offset)
+time and memory.  Thue-Morse is overlap-free (Thue 1912), so no two
 occurrences of a word overlap, and `str.count` on a window is the exact
 occurrence count.  Counts in long prefixes instead follow the same
 de-substitution down the substitution levels (`_prefix_count`), without
 building the prefix.
 """
 
+import operator
 import re
 from functools import lru_cache
 
@@ -79,30 +80,37 @@ def _check_word(w: str, allow_empty: bool = False) -> str:
     return w
 
 
+def _check_int(value, name: str) -> int:
+    """value by `operator.index`: a bool passes, a float or a str raises TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
+
+
 def complement(w: str) -> str:
     """Bitwise complement of a word."""
     return w.translate(_COMPLEMENT)
 
 
-# the top level whose block has at most MAX_CACHED_LENGTH letters
+# the top level whose blocks have at most MAX_CACHED_LENGTH letters
 _SHORT_LEVEL = MAX_CACHED_LENGTH.bit_length() - 1
-# block(0, k) for k <= _SHORT_LEVEL, filled on first use.  Each level is
-# doubled from the level below, so the filled levels are 0..m-1 for some
-# m <= 13, at most 2**13 - 1 = 8191 letters.  A level is written whole in
+# (block(0, k), block(1, k)) for k <= _SHORT_LEVEL, filled on first use by
+# doubling, (b0, b1) -> (b0 b1, b1 b0), with no complement: levels 0..m-1
+# for some m <= 13, at most 16382 letters.  A level is written whole in
 # one store, so concurrent callers at worst build it twice.
-_short_blocks = ["0"] + [None] * _SHORT_LEVEL
+_short_blocks = [("0", "1")] + [None] * _SHORT_LEVEL
 
 
-def _block0(k: int) -> str:
-    """block(0, k) for any level k >= 0, unchecked: block(0, k - 1)
-    followed by its complement, the package's one doubling step."""
-    b = _short_blocks[k] if k <= _SHORT_LEVEL else None
-    if b is None:
-        b = _block0(k - 1)
-        b += complement(b)
-        if k <= _SHORT_LEVEL:
-            _short_blocks[k] = b
-    return b
+def _pair(k: int) -> tuple:
+    """(block(0, k), block(1, k)) for any level k >= 0, unchecked."""
+    if k > _SHORT_LEVEL:
+        return _right_window(0, 1 << k), _right_window(1 << k, 1 << k)
+    p = _short_blocks[k]
+    if p is None:
+        b0, b1 = _pair(k - 1)
+        p = _short_blocks[k] = b0 + b1, b1 + b0
+    return p
 
 
 def tm_prefix(n: int) -> str:
@@ -111,34 +119,45 @@ def tm_prefix(n: int) -> str:
         if n < 0:
             raise ValueError(f"prefix length must be nonnegative, got {n}")
         raise ResourceLimitError(f"prefix length {n} exceeds {MAX_SLICE}")
-    return _block0((n - 1).bit_length())[:n]
+    if n <= MAX_CACHED_LENGTH:
+        return _pair((n - 1).bit_length())[0][:n]
+    return _right_window(0, n)
 
 
 def tm_letter(i: int) -> int:
     """Letter at any integer index; negative indices mirror: w[-i] = w[i-1]."""
-    if i < 0:
-        i = -i - 1
-    return i.bit_count() & 1
+    i = _check_int(i, "i")
+    return _letter(-i - 1 if i < 0 else i)
+
+
+def _letter(i: int) -> int:
+    return i.bit_count() & 1  # w[i] for i >= 0, unchecked
 
 
 def _right_window(lo: int, n: int) -> str:
-    """w[lo] ... w[lo+n-1] for lo >= 0, from two aligned level-k blocks.
+    """w[lo] ... w[lo+n-1] for lo >= 0; the level-k block q is block(w[q], k).
 
     With k = (n - 1).bit_length(), so 2**k >= n, the window lies in the
-    level-k blocks q = lo >> k and q + 1; block j is block(0, k),
-    complemented when w[j] = 1.  Time and memory are O(n + log lo).
+    level-k blocks q = lo >> k and q + 1.  Above MAX_CACHED_LENGTH letters
+    it joins the top-level blocks that it meets, each end trimmed first so
+    that only the window is built.  Time and memory are O(n + log lo).
     """
+    if n > MAX_CACHED_LENGTH:
+        k = _SHORT_LEVEL
+        first, last = lo >> k, (lo + n - 1) >> k
+        pair = _pair(k)
+        parts = [pair[_letter(j)] for j in range(first, last + 1)]
+        parts[0] = parts[0][lo - (first << k):]
+        parts[-1] = parts[-1][:lo + n - (last << k)]
+        return "".join(parts)
     k = (n - 1).bit_length()
     q = lo >> k
     start = lo - (q << k)
-    b = _block0(k)
-    head = b[start:start + n]
-    if tm_letter(q):
-        head = complement(head)
+    pair = _pair(k)
+    head = pair[_letter(q)][start:start + n]
     if len(head) == n:
         return head
-    tail = b[:n - len(head)]
-    return head + (complement(tail) if tm_letter(q + 1) else tail)
+    return head + pair[_letter(q + 1)][:n - len(head)]
 
 
 def tm_slice(lo: int, hi: int) -> str:
@@ -149,6 +168,7 @@ def tm_slice(lo: int, hi: int) -> str:
     below 0 follow the mirror rule w[-i] = w[i-1], so the part left of 0
     is a right-hand window read backwards.
     """
+    lo, hi = _check_int(lo, "lo"), _check_int(hi, "hi")
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi})")
     if hi - lo > MAX_SLICE:
@@ -168,8 +188,7 @@ def block(i: int, n: int) -> str:
         raise ValueError("level must be nonnegative")
     if n > MAX_BLOCK_LEVEL:
         raise ResourceLimitError(f"level {n} exceeds {MAX_BLOCK_LEVEL}")
-    b = _block0(n)
-    return complement(b) if i else b
+    return _right_window(i << n, 1 << n)
 
 
 def keane_product(b: str, c: str) -> str:
@@ -241,16 +260,17 @@ def _owner(gamma: str, level: int, suffix: bool):
     """The letter j whose level-n block starts with gamma (ends with it when
     `suffix`), or None; gamma is nonempty and shorter than a block.
 
-    The length-g prefix of block(j, n) is tm_prefix(g), complemented when
-    j = 1; its suffix is tm_prefix(g) reversed, complemented when j + n is
-    odd.  So one O(|gamma|) comparison replaces building both blocks.
+    The length-g prefix of block(j, n) is that of block(j, k) for 2**k >= g,
+    and its suffix reversed is the prefix of block(j + n mod 2, k).  So two
+    prefix matches against `_pair(k)` replace building both level-n blocks.
     """
-    edge, flip = tm_prefix(len(gamma)), 0
+    flip = 0
     if suffix:
-        edge, flip = edge[::-1], level & 1
-    if gamma == edge:
+        gamma, flip = gamma[::-1], level & 1
+    b0, b1 = _pair((len(gamma) - 1).bit_length())
+    if b0.startswith(gamma):
         return flip
-    if gamma == complement(edge):
+    if b1.startswith(gamma):
         return 1 - flip
     return None
 
@@ -354,7 +374,7 @@ def _count_step(w: str, n: int) -> int:
         # for factors, and a non-factor occurs nowhere
         return tm_prefix(n).count(w)
     if len(w) < 4:
-        last = all(tm_letter(n - len(w) + i) == int(a) for i, a in enumerate(w))
+        last = all(_letter(n - len(w) + i) == int(a) for i, a in enumerate(w))
         return _prefix_count(w + "0", n) + _prefix_count(w + "1", n) + last
     total = 0
     for phase in (0, 1):
@@ -389,6 +409,7 @@ def require_factor(w: str) -> str:
 
 def factors_of_length(L: int) -> list:
     """All factors of length L, lexicographically sorted."""
+    L = _check_int(L, "L")
     if L < 1:
         raise ValueError("length must be positive")
     if L > MAX_FACTOR_LENGTH:
@@ -405,7 +426,6 @@ def _factors_upto(max_len: int) -> list:
 def occurrences(w: str, lo: int, hi: int) -> list:
     """Start indices of all occurrences of w inside the slice [lo, hi)."""
     _check_word(w)
-    if lo > hi:
-        raise ValueError(f"need lo <= hi, got [{lo}, {hi})")
-    # overlap-free: finditer's non-overlapping matches are all occurrences
+    # tm_slice checks lo and hi; overlap-free, so finditer's non-overlapping
+    # matches are all occurrences
     return [m.start() + lo for m in re.finditer(w, tm_slice(lo, hi))]

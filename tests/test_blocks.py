@@ -81,24 +81,22 @@ def test_choose_level_examples():
 
 
 def test_choose_level_always_gives_2_to_4_blocks():
-    for L in range(2, 33):
-        for w in words.factors_of_length(L):
-            n = blocks.choose_level(w)
-            d = blocks.decompose(w, n)
-            assert 2 <= len(d.blocks) <= 4
-            # maximality: one level higher fails
-            with pytest.raises(LevelError):
-                blocks.decompose(w, n + 1)
+    for w in words._factors_upto(32)[2:]:  # the factors of 2..32 letters
+        n = blocks.choose_level(w)
+        d = blocks.decompose(w, n)
+        assert 2 <= len(d.blocks) <= 4
+        # maximality: one level higher fails
+        with pytest.raises(LevelError):
+            blocks.decompose(w, n + 1)
 
 
 def test_round_trip_and_uniqueness_exhaustive():
-    for L in range(2, 25):
-        for w in words.factors_of_length(L):
-            n_star = blocks.choose_level(w)
-            for n in range(n_star + 1):
-                d = blocks.decompose(w, n)
-                assert blocks.recompose(d) == w
-                assert splits(w, n) == [(d.gamma0, d.blocks, d.gamma1)]
+    for w in words._factors_upto(24)[2:]:  # the factors of 2..24 letters
+        n_star = blocks.choose_level(w)
+        for n in range(n_star + 1):
+            d = blocks.decompose(w, n)
+            assert blocks.recompose(d) == w
+            assert splits(w, n) == [(d.gamma0, d.blocks, d.gamma1)]
 
 
 def test_brute_level_splits_hand_written():
@@ -117,13 +115,12 @@ def _revalidated(d):
 def test_chain_built_decompositions_pass_validation():
     # decompose and complete_boundaries skip __post_init__; the validating
     # constructor accepts their fields and builds an equal object
-    for L in range(2, 25):
-        for w in words.factors_of_length(L):
-            for n in range(blocks.choose_level(w) + 1):
-                d = blocks.decompose(w, n)
-                assert _revalidated(d) == d
-                c = blocks.complete_boundaries(d)
-                assert _revalidated(c) == c
+    for w in words._factors_upto(24)[2:]:  # the factors of 2..24 letters
+        for n in range(blocks.choose_level(w) + 1):
+            d = blocks.decompose(w, n)
+            assert _revalidated(d) == d
+            c = blocks.complete_boundaries(d)
+            assert _revalidated(c) == c
 
 
 def test_follower_blocks_forced():
@@ -294,16 +291,13 @@ def test_decompose_matches_absolute_grid_on_far_factors(start, length):
     assert blocks._signature(w) == (n, completed)
 
 
-def test_one_lift_chain_per_word(monkeypatch):
+def test_one_lift_chain_per_word(count_calls):
     start = (1 << 39) + 4321  # a word no other test builds
     w = letters(start, start + 3000)
     assert len(w) <= words.MAX_CACHED_LENGTH
     before = words._short_descent.cache_info()
     blocks.decompose(w, blocks.choose_level(w))
-    built = []
-    check = blocks.BlockDecomposition.__post_init__
-    monkeypatch.setattr(blocks.BlockDecomposition, "__post_init__",
-                        lambda d: built.append(d) or check(d))
+    built = count_calls(blocks.BlockDecomposition, "__post_init__")
     trace.trace_range(w)
     ktheory.reduce_class(w)
     after = words._short_descent.cache_info()

@@ -8,6 +8,7 @@ import pytest
 
 from thuemorse import blocks, cli, words
 from thuemorse.errors import InvariantError
+from conftest import fresh
 from reference import letters
 
 
@@ -238,9 +239,7 @@ def test_queries_load_neither_numpy_nor_scipy():
                  "thuemorse.empirical_trace('01', 4096)"):
         probe = (f"import sys, thuemorse; {call}; "
                  "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
-        proc = subprocess.run([sys.executable, "-c", probe],
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.split() == ["[]"]
+        assert fresh(probe).split() == ["[]"]
     import thuemorse
     star = {}
     exec("from thuemorse import *", star)
@@ -265,21 +264,15 @@ def test_entry_point_subprocess():
     # the value classes are namedtuples: neither dataclasses nor the
     # inspect module it loads is imported, on the query path or by verify
     assert not imported & {"dataclasses", "inspect"}
-    probe = subprocess.run(
-        [sys.executable, "-c", "import sys, thuemorse.verify; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        capture_output=True, text=True, check=True,
-    )
-    assert probe.stdout == "[]\n"
+    assert fresh("import sys, thuemorse.verify; "
+                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))") == "[]\n"
 
 
 def _loaded_after(argv) -> set:
     """The modules a fresh interpreter holds after one CLI call."""
     probe = (f"import sys; from thuemorse import cli; cli.run({argv!r}); "
              "print(*sorted(sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True, check=True)
-    return set(proc.stdout.splitlines()[-1].split())
+    return set(fresh(probe).splitlines()[-1].split())
 
 
 def test_a_call_loads_only_the_modules_its_subcommand_uses():

@@ -120,3 +120,21 @@ def test_value_class_contract(cls, fields, text, as_dict):
     if as_dict is not None:
         assert value.as_dict() == as_dict
         assert json.loads(value.to_json()) == as_dict
+
+
+# each call passes one integer argument as a float, a str, None or a Fraction
+@pytest.mark.parametrize("call, args, name", [
+    (trace.frequency, ("0110", 64.0), "N"), (words.tm_slice, (0.0, 3), "lo"),
+    (words.tm_letter, ("5",), "i"), (words.occurrences, ("01", 0, 10.0), "hi"),
+    (words.factors_of_length, (None,), "L"), (afcore.af_level, (2.0,), "k"),
+    (afcore.inclusion_matrix, (Fraction(2),), "k"), (repwindow.empirical_trace, ("01", 64.0), "W"),
+    (repwindow.axiom_residuals, (256, 4.0), "maxlen"), (trace.matrix_iterate, ("1/6", 3.0), "n"),
+    (trace.uniqueness_interval, (3.0,), "N"),
+])
+def test_integer_arguments_reject_other_types(call, args, name):
+    # af_level(2) is cached first: an equal float must still be refused
+    afcore.af_level(2)
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        call(*args)
+    # a bool is an int to operator.index
+    assert words.tm_slice(False, True) == "0"

@@ -130,18 +130,6 @@ def test_a_word_lifting_on_both_grids_holds_an_overlap():
                 assert "01010" in c or "10101" in c, c
 
 
-def _count_lifted_letters(monkeypatch) -> list:
-    lifted = [0]
-    real = words.lift
-
-    def counting(s, phase):
-        lifted[0] += len(s)
-        return real(s, phase)
-
-    monkeypatch.setattr(words, "lift", counting)
-    return lifted
-
-
 def _pipeline(w: str):
     words.is_factor(w)
     blocks.complete_boundaries(blocks.decompose(w, blocks.choose_level(w)))
@@ -149,41 +137,29 @@ def _pipeline(w: str):
     ktheory.reduce_class(w)
 
 
-def test_a_fresh_factor_is_lifted_once(monkeypatch):
-    lifted = _count_lifted_letters(monkeypatch)
+def test_a_fresh_factor_is_lifted_once(count_calls):
+    lifted = count_calls(words, "lift")
     w = letters((1 << 47) + 919, (1 << 47) + 3919)  # a word no other test builds
     assert len(w) <= words.MAX_CACHED_LENGTH
     _pipeline(w)
     # one descent for the six calls, and complete_boundaries checks the
     # completed block word of at most six letters
-    assert lifted[0] <= 2 * len(w) + 2 * 6
+    assert sum(map(len, lifted)) <= 2 * len(w) + 2 * 6
     # an alternating non-factor lifts |w| letters on phase 0, and its
     # parent of one repeated letter stops the next lift
     for bad in (w[:1000] + w[1000:1100] * 2 + w[1000] + w[1201:], "01" * 1500):
-        lifted[0] = 0
+        lifted.clear()
         assert not words.is_factor(bad)
-        assert lifted[0] < 2 * len(bad)
+        assert sum(map(len, lifted)) < 2 * len(bad)
 
 
-def test_an_uncached_factor_is_lifted_once_per_public_call(monkeypatch):
-    lifted = _count_lifted_letters(monkeypatch)
+def test_an_uncached_factor_is_lifted_once_per_public_call(count_calls):
+    lifted = count_calls(words, "lift")
     w = words.tm_slice(-(1 << 33) - 77, -(1 << 33) - 77 + words.MAX_WORD_LENGTH)
     assert len(w) > words.MAX_CACHED_LENGTH
     _pipeline(w)
     # five calls descend w; complete_boundaries only its block word
-    assert lifted[0] <= 10 * len(w) + 2 * 6
-
-
-def _count_checks(monkeypatch) -> list:
-    checked = []
-    real = words._check_word
-
-    def counting(w, allow_empty=False):
-        checked.append(w)
-        return real(w, allow_empty)
-
-    monkeypatch.setattr(words, "_check_word", counting)
-    return checked
+    assert sum(map(len, lifted)) <= 10 * len(w) + 2 * 6
 
 
 def _five_queries(w: str):
@@ -193,8 +169,8 @@ def _five_queries(w: str):
     ktheory.reduce_class(w)
 
 
-def test_a_cached_word_is_checked_once(monkeypatch):
-    checked = _count_checks(monkeypatch)
+def test_a_cached_word_is_checked_once(count_calls):
+    checked = count_calls(words, "_check_word")
     w = letters((1 << 46) + 6061, (1 << 46) + 6361)  # a word no other test builds
     assert len(w) <= words.MAX_CACHED_LENGTH
     _five_queries(w)

@@ -32,9 +32,8 @@ def test_errors():
 
 
 def test_counts_lie_in_124():
-    for L in range(2, 13):
-        for w in words.factors_of_length(L):
-            assert extensions.classify_extension_count(w) in (1, 2, 4)
+    for w in words._factors_upto(12)[2:]:  # the factors of 2..12 letters
+        assert extensions.classify_extension_count(w) in (1, 2, 4)
 
 
 def test_count_four_families():
@@ -65,11 +64,10 @@ def test_partition_property():
 
 
 def test_symmetry_under_reverse_and_complement():
-    for L in range(1, 13):
-        for w in words.factors_of_length(L):
-            c = extensions.classify_extension_count(w)
-            assert c == extensions.classify_extension_count(w[::-1])
-            assert c == extensions.classify_extension_count(words.complement(w))
+    for w in words._factors_upto(12):
+        c = extensions.classify_extension_count(w)
+        assert c == extensions.classify_extension_count(w[::-1])
+        assert c == extensions.classify_extension_count(words.complement(w))
 
 
 def test_extension_sets_are_factor_scans(oracle_prefix):
@@ -96,14 +94,12 @@ def test_a_repeat_returns_a_new_equal_list():
     assert first == ["001100", "001101", "101100", "101101"]
 
 
-def test_a_repeated_call_makes_no_descent(monkeypatch):
+def test_a_repeated_call_makes_no_descent(count_calls):
     # a word no other test builds; the first call fills the memo
     w = words.tm_slice((1 << 42) + 31, (1 << 42) + 131)
     extensions._short_extension_set.cache_clear()
     first = extensions.extension_set(w, 1, 1)
-    descents = []
-    real = words._descent
-    monkeypatch.setattr(words, "_descent", lambda u: descents.append(u) or real(u))
+    descents = count_calls(words, "_descent")
     assert extensions.extension_set(w, 1, 1) == first
     assert descents == []
 

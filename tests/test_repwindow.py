@@ -1,7 +1,4 @@
 import itertools
-import subprocess
-import sys
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +7,7 @@ from scipy import sparse
 
 from thuemorse import repwindow, trace, words
 from thuemorse.errors import MissingExtraError, ThueMorseError
+from conftest import fresh, peak_bytes
 from reference import letters
 
 W = 256
@@ -137,12 +135,7 @@ def test_empirical_trace_builds_no_window():
     # warm the counter's bounded memo, then count at the largest window: the
     # letters x[-W..W-1] alone would take 2 MiB
     repwindow.empirical_trace("0110", 1 << 20)
-    tracemalloc.start()
-    try:
-        value = repwindow.empirical_trace("0110", 1 << 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    value, peak = peak_bytes(repwindow.empirical_trace, "0110", 1 << 20)
     assert value == _window_trace("0110", 1 << 20)
     assert peak < 64 << 10
 
@@ -175,9 +168,7 @@ def test_bad_arguments_fail_before_loading_scipy():
              "    except Exception as exc:\n"
              "        print(type(exc).__name__, exc)\n"
              "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == [
+    assert fresh(probe).splitlines() == [
         "ValueError half-width must be positive",
         "ValueError half-width must be positive",
         "ValueError word must consist of '0'/'1' only: '012'",
@@ -199,11 +190,9 @@ def test_without_the_sparse_extra_only_the_matrices_fail():
              "    except Exception as exc:\n"
              "        print(type(exc).__name__, exc)\n"
              "print(r.axiom_residuals(256, 4), r.empirical_trace('01', 64), trace_range('0110'))\n")
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True, check=True)
     scipy_missing = ("MissingExtraError scipy.sparse is not installed; "
                      "install the extra: pip install 'thuemorse[sparse]'")
-    assert proc.stdout.splitlines() == [
+    assert fresh(probe).splitlines() == [
         scipy_missing, scipy_missing, scipy_missing,
         "MissingExtraError numpy is not installed; "
         "install the extra: pip install 'thuemorse[sparse]'",
@@ -220,7 +209,7 @@ def _sparse_residuals(W, maxlen):
     by word pair: an independent route to `axiom_residuals`."""
     size = 2 * W + 1
     t = [g.matrix for g in repwindow.build_generators(W)]
-    factors = [w for L in range(1, maxlen + 1) for w in words.factors_of_length(L)]
+    factors = words._factors_upto(maxlen)
     p = {w: repwindow.range_projection(w, W).matrix for w in factors}
     zero = sparse.csr_matrix((size, size), dtype=np.int64)
 

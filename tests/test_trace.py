@@ -96,10 +96,9 @@ def _three_routes(w):
 
 def test_block_route_matches_peeling_exhaustive():
     # every factor of <= 39 letters: 2332 words, block levels up to 4
-    for L in range(1, 40):
-        for w in words.factors_of_length(L):
-            block, peel, k0 = _three_routes(w)
-            assert block == peel == k0, w
+    for w in words._factors_upto(39):
+        block, peel, k0 = _three_routes(w)
+        assert block == peel == k0, w
 
 
 @given(st.integers(min_value=-(1 << 40), max_value=1 << 40),
@@ -127,20 +126,18 @@ def test_trace_cache_is_bounded():
 
 
 def test_additivity_both_sides():
-    for L in range(1, 13):
-        for w in words.factors_of_length(L):
-            v = trace.trace_range(w)
-            right = sum(trace.trace_range(w + a) for a in "01" if words.is_factor(w + a))
-            left = sum(trace.trace_range(a + w) for a in "01" if words.is_factor(a + w))
-            assert v == right == left
+    for w in words._factors_upto(12):
+        v = trace.trace_range(w)
+        right = sum(trace.trace_range(w + a) for a in "01" if words.is_factor(w + a))
+        left = sum(trace.trace_range(a + w) for a in "01" if words.is_factor(a + w))
+        assert v == right == left
 
 
 def test_symmetry():
-    for L in range(1, 13):
-        for w in words.factors_of_length(L):
-            v = trace.trace_range(w)
-            assert v == trace.trace_range(w[::-1])
-            assert v == trace.trace_range(words.complement(w))
+    for w in words._factors_upto(12):
+        v = trace.trace_range(w)
+        assert v == trace.trace_range(w[::-1])
+        assert v == trace.trace_range(words.complement(w))
 
 
 def test_partition_of_unity_and_positivity():
@@ -279,10 +276,9 @@ def test_frequency_examples():
 
 def test_frequency_oracle_agreement():
     window = 1 << 18
-    for L in range(1, 7):
-        for w in words.factors_of_length(L):
-            gap = abs(trace.trace_range(w) - trace.frequency(w, window))
-            assert gap <= Fraction(1, 100)
+    for w in words._factors_upto(6):
+        gap = abs(trace.trace_range(w) - trace.frequency(w, window))
+        assert gap <= Fraction(1, 100)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 16) - 40),
@@ -316,16 +312,14 @@ def test_frequency_validation():
 def test_frequency_equals_the_count_in_the_prefix():
     N = 1 << 20
     prefix = words.tm_prefix(N)
-    for L in range(1, 9):
-        for w in words.factors_of_length(L):
-            assert trace.frequency(w, N) == Fraction(prefix.count(w), N - len(w) + 1), w
+    for w in words._factors_upto(8):
+        assert trace.frequency(w, N) == Fraction(prefix.count(w), N - len(w) + 1), w
 
 
 def test_frequency_builds_no_prefix_and_keeps_its_memo_bounded(monkeypatch):
-    empty = [words._short_blocks[0]] + [None] * words._SHORT_LEVEL
-    monkeypatch.setattr(words, "_short_blocks", empty)
+    monkeypatch.setattr(words, "_short_blocks", [("0", "1")] + [None] * words._SHORT_LEVEL)
     assert abs(trace.frequency("0110", 1 << 26) - SIXTH) <= Fraction(1, 10 ** 4)
-    assert sum(len(b) for b in words._short_blocks if b) <= 4096
+    assert sum(len(b) for pair in words._short_blocks if pair for b in pair) <= 4096
     N = 1 << 20
     prefix = words.tm_prefix(N)
     long_words = {prefix[4099 * k:4099 * k + 4096] for k in range(200)}

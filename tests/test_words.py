@@ -1,25 +1,15 @@
 import itertools
-import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thuemorse import words
 from thuemorse.errors import NotAFactorError, ResourceLimitError
+from conftest import peak_bytes
 from reference import letters, scan
 
 binary_words = st.text(alphabet="01", min_size=1, max_size=40)
-
-
-def _peak_bytes(fn, *args):
-    """The peak of memory traced while fn(*args) runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_letter_examples():
@@ -67,19 +57,25 @@ def test_slice_near_zero_matches_oracle(oracle_prefix):
 @given(st.integers(min_value=1 - (1 << 62), max_value=(1 << 62) - 1),
        st.integers(min_value=0, max_value=300))
 @settings(max_examples=300, deadline=None)
+# windows that join the cached top-level blocks: far right, far left, across 0
+@example((1 << 40) + 3, 4097)
+@example((1 << 40) + 3, (3 << 13) + 5)
+@example(-(1 << 40) - 3, 4097)
+@example(-(1 << 40) - 3, (3 << 13) + 5)
+@example(-4104, (3 << 13) + 5)
 def test_slice_at_any_offset_matches_popcount_letters(lo, n):
     assert words.tm_slice(lo, lo + n) == letters(lo, lo + n)
 
 
 def test_far_slices_build_no_prefix():
     for lo in ((1 << 26) - 10, 1 << 40, -(1 << 40)):
-        assert _peak_bytes(words.tm_slice, lo, lo + 10) < 64 * 1024, lo
+        assert peak_bytes(words.tm_slice, lo, lo + 10)[1] < 64 * 1024, lo
     # a long window holds at most a few strings of about its own length
     for n in (1 << 16, (1 << 16) + 1, 3 << 15, (1 << 17) + 1):
         for lo in (0, 12345, (1 << 40) + 3, -(n // 2), -n - 99):
-            assert _peak_bytes(words.tm_slice, lo, lo + n) <= 10 * n + 64 * 1024, (lo, n)
-    # the block cache keeps block(0, k) for k <= 12 only
-    assert sum(len(b) for b in words._short_blocks if b) <= (1 << 13) - 1
+            assert peak_bytes(words.tm_slice, lo, lo + n)[1] <= 3 * n + 64 * 1024, (lo, n)
+    # the table keeps both blocks of the levels k <= 12 only
+    assert sum(len(b) for pair in words._short_blocks if pair for b in pair) <= 2 * ((1 << 13) - 1)
 
 
 def test_slice_validation():
@@ -281,18 +277,16 @@ def test_factor_complexity_monotone():
 
 
 def test_reversal_complement_closure():
-    for L in range(1, 17):
-        fac = set(words.factors_of_length(L))
-        for w in fac:
-            assert w[::-1] in fac
-            assert words.complement(w) in fac
+    fac = set(words._factors_upto(16))
+    for w in fac:
+        assert w[::-1] in fac
+        assert words.complement(w) in fac
 
 
 def test_overlap_freeness():
-    for L in range(1, 9):
-        for beta in words.factors_of_length(L):
-            for p in range(1, L + 1):
-                assert not words.is_factor(beta + beta + beta[:p])
+    for beta in words._factors_upto(8):
+        for p in range(1, len(beta) + 1):
+            assert not words.is_factor(beta + beta + beta[:p])
 
 
 def test_occurrences_examples():
