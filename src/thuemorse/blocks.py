@@ -20,10 +20,10 @@ chain are built by `tuple.__new__`, which skips the checks of
 `verify` (every split of every factor of one length at one level, with
 no lift chain) and the tests check them instead.
 
-The signature (n, c) of a factor is its top level n and the block word
-c of 2..6 letters that completes the chain's top entry, with no
-BlockDecomposition built, or (0, w) without a level-1 grid.  Trace and
-K0 class are functions of it alone.
+The signature (n, c) of a factor, the second item of its descent, is
+its top level n and the block word c of 2..6 letters that completes the
+chain's top entry, with no BlockDecomposition built, or (0, w) without
+a level-1 grid.  Trace and K0 class are functions of it alone.
 """
 
 from ._value import value_base
@@ -78,11 +78,6 @@ def _chain(w: str) -> tuple:
     """The lift chain of a factor (`words._descent`), empty for words of
     at most four letters; raises NotAFactorError for a non-factor."""
     return _factor_descent(w)[0]
-
-
-def _signature(w: str) -> tuple:
-    """(n, c): the top level of a factor and its completed block word."""
-    return _factor_descent(w)[1]
 
 
 def decompose(w: str, n: int) -> BlockDecomposition:

@@ -16,11 +16,10 @@ so a call loads only the modules its subcommand uses.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import thuemorse as tm
 
-from .errors import InvariantError, ThueMorseError
+from .errors import InvariantError, ResourceLimitError, ThueMorseError
 from .words import _is_binary
 
 
@@ -32,9 +31,13 @@ def _word_arg(text: str) -> str:
     return text
 
 
-def _rational_arg(text: str) -> Fraction:
+def _rational_arg(text: str):
+    from .trace import _parse_t
     try:
-        return Fraction(text)
+        return _parse_t(text)
+    except ResourceLimitError:
+        # kept as a str, which matrix_iterate refuses again: exit 1, not 2
+        return text
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 

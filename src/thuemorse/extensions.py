@@ -5,6 +5,15 @@ letters and appending n letters.  For |w| >= 2 the two-sided one-letter
 extension count is always 1, 2 or 4; the single letters are the only
 words with count 3.
 
+The set is grown one letter at a time, and each candidate is kept when
+it is a factor; this pruning is exact because every subword of a factor
+is a factor.  When |w| + m + n <= `words.MAX_FACTOR_LENGTH` a candidate
+is a factor exactly when it occurs in the prefix of
+`words._factor_window(|w| + m + n)` letters, since every factor of that
+length occurs there (`test_factors_of_length_counts`) and so does each
+of its prefixes; one substring search replaces a descent.  Longer
+candidates are tested by `is_factor`.
+
 A call whose worst-case result is short is memoised the way
 `words._descent` is: the memo runs the whole checked body on a miss and
 stores no call that raises, so every key is a checked factor and a
@@ -14,10 +23,12 @@ whose worst case fits in `words.MAX_CACHED_LENGTH` letters is a key;
 every other call runs the same body uncached.
 """
 
+import operator
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .words import MAX_CACHED_LENGTH, is_factor, require_factor
+from .words import (MAX_CACHED_LENGTH, MAX_FACTOR_LENGTH, _factor_window, is_factor,
+                    require_factor, tm_prefix)
 
 MAX_EXTENSION_LENGTH = 4096
 
@@ -25,8 +36,9 @@ MAX_EXTENSION_LENGTH = 4096
 def extension_set(w: str, m: int, n: int) -> list:
     """All factors b0 + w + b1 with |b0| = m and |b1| = n, sorted, as a new list.
 
-    Built letter by letter with factor pruning, which is exact because
-    every subword of a factor is a factor.
+    Each candidate is tested against the factor window when
+    |w| + m + n <= MAX_FACTOR_LENGTH, and by `is_factor` above it (see
+    the module docstring).
     """
     # MAX_CACHED_LENGTH >> (m + n) rather than (...) << (m + n): a huge
     # m + n must not build a huge int
@@ -43,11 +55,16 @@ def _extend(w: str, m: int, n: int) -> list:
     if m + n + len(w) > MAX_EXTENSION_LENGTH:
         raise ResourceLimitError(
             f"extended length {m + n + len(w)} exceeds {MAX_EXTENSION_LENGTH}")
+    # range()'s TypeError for a float m or n, raised before a window is read
+    m, n = operator.index(m), operator.index(n)
+    length = len(w) + m + n
+    member = (tm_prefix(_factor_window(length)).__contains__ if length <= MAX_FACTOR_LENGTH
+              else is_factor)
     words = [w]
     for _ in range(n):
-        words = [u + a for u in words for a in "01" if is_factor(u + a)]
+        words = [u + a for u in words for a in "01" if member(u + a)]
     for _ in range(m):
-        words = [a + u for u in words for a in "01" if is_factor(a + u)]
+        words = [a + u for u in words for a in "01" if member(a + u)]
     return sorted(words)
 
 

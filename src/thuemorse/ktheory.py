@@ -5,8 +5,8 @@ where (a, b) at level n stands for a copies of the generator a_n (the
 class of the three-block word 010 at level n) and b copies of b_n (the
 class of 001 at level n).  The generator relations are a_n = 2 b_{n+1}
 and b_n = a_{n+1} + b_{n+1}.  Every range projection class reduces to
-these generators through the signature (n, c) of the word from
-`blocks._signature`, the same one the trace reads: its class is that of
+these generators through the signature (n, c) of the word, read off
+its descent as the trace reads it: its class is that of
 the block word c at level n.  The induced trace evaluation sends (a, b)
 at level n to (a + b)/(6 * 2^n), landing in the rationals with
 denominator dividing some 3 * 2^m.
@@ -24,9 +24,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._value import value_base
-from .blocks import _signature, complete_boundaries, decompose
+from .blocks import complete_boundaries, decompose
 from .errors import InvariantError, LevelError, ResourceLimitError
-from .words import _from_bits, factors_of_length, is_factor, require_factor
+from .words import (MAX_CACHED_LENGTH, _factor_descent, _from_bits, _not_a_factor,
+                    _short_descent, factors_of_length, is_factor, require_factor)
 
 # Highest level `evaluate` accepts.  Its value has a 6 * 2**level
 # denominator, and 2**8192 has 2 467 digits, inside Python's default
@@ -213,9 +214,23 @@ def reduce_class(w: str) -> K0Element:
 
     The class of w is that of its signature (n, c): the boundary
     completion preserves the class because the completing extensions
-    are unique.
+    are unique.  An exact str of at most MAX_CACHED_LENGTH letters is
+    memoised, as `words._descent` is: the memo stores no call that
+    raises, so a repeat is one lookup.
     """
-    return _block_word_class(*_signature(w))
+    if type(w) is str and len(w) <= MAX_CACHED_LENGTH:
+        return _short_reduce_class(w)
+    return _block_word_class(*_factor_descent(w)[1])
+
+
+# an entry holds its key word and one K0Element
+@lru_cache(maxsize=1 << 9)
+def _short_reduce_class(w: str) -> K0Element:
+    # `_descent` sends w to its memo too, so the memo is read directly
+    found = _short_descent(w)
+    if found is None:
+        raise _not_a_factor(w)
+    return _block_word_class(*found[1])
 
 
 def apply_i_minus_phi(comb: dict) -> dict:

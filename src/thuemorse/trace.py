@@ -10,22 +10,24 @@ over left extensions.
 
 Peeling costs O(|w|^2), so it only fills the table of the 50 factors
 of at most six letters, once at import.  Every other word is read off
-its signature (n, c) from `blocks._signature`: completed at both ends,
-w is the level-n expansion of the block word c of 2..6 letters, and
-trace(w) = trace(c) / 2^n, which is O(|w|).  Every value has the form
-1/(3 * 2^m) or 1/(6 * 2^m) (Dekking, Acta Univ. Carolinae Math. Phys.
-33, 1992).  All arithmetic is exact rational.  The empirical oracle
-`frequency` counts occurrences in a prefix by the substitution
-recursion, which reads O(log N) letters instead of the prefix itself.
+its signature (n, c), the top of its descent (`words._descent`):
+completed at both ends, w is the level-n expansion of the block word c
+of 2..6 letters, and trace(w) = trace(c) / 2^n, which is O(|w|).
+Every value has the form 1/(3 * 2^m) or 1/(6 * 2^m) (Dekking, Acta
+Univ. Carolinae Math. Phys. 33, 1992).  All arithmetic is exact
+rational.  The empirical oracle `frequency` counts occurrences in a
+prefix by the substitution recursion, which reads O(log N) letters
+instead of the prefix itself.
 """
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .blocks import _signature
 from .errors import ResourceLimitError
-from .words import (_check_int, _check_word, _factors_upto, _prefix_count, complement,
-                    is_factor, require_factor)
+from .words import (MAX_CACHED_LENGTH, _check_int, _check_word, _factor_descent, _factors_upto,
+                    _not_a_factor, _prefix_count, _short_descent, complement, is_factor,
+                    require_factor)
 
 MAX_FREQUENCY_WINDOW = 1 << 26
 MAX_BLOCK_TRACE_LEVEL = 30
@@ -37,6 +39,13 @@ MAX_MATRIX_LEVEL = 1 << 13
 # denominators divide 3 * 2**(N + 1) times t's, so at both caps they have
 # at most 12 291 bits (3 700 digits), and every accepted (t, N) prints.
 MAX_MATRIX_T_BITS = 1 << 12
+# Longest str t that `matrix_iterate` parses, and largest size of its
+# decimal exponent.  Fraction builds 10**|exponent| before it reduces, so
+# "1e-10000000" took seconds to parse before MAX_MATRIX_T_BITS refused it.
+# Every t that MAX_MATRIX_T_BITS admits has a literal within both caps,
+# its p/q form of at most 2 * 1 234 digits.
+MAX_MATRIX_T_LITERAL = 1 << 13
+_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)")
 # every completed block word has at most six letters
 MAX_PEEL_LENGTH = 6
 
@@ -72,8 +81,25 @@ def _block_word_trace(n: int, c: str) -> Fraction:
 
 
 def trace_range(w: str) -> Fraction:
-    """Trace of the range projection of w = frequency of w in the sequence."""
-    return _block_word_trace(*_signature(w))
+    """Trace of the range projection of w = frequency of w in the sequence.
+
+    An exact str of at most MAX_CACHED_LENGTH letters is memoised, as
+    `words._descent` is: the memo stores no call that raises, so a repeat
+    is one lookup.
+    """
+    if type(w) is str and len(w) <= MAX_CACHED_LENGTH:
+        return _short_trace_range(w)
+    return _block_word_trace(*_factor_descent(w)[1])
+
+
+# an entry holds its key word and one Fraction
+@lru_cache(maxsize=1 << 9)
+def _short_trace_range(w: str) -> Fraction:
+    # `_descent` sends w to its memo too, so the memo is read directly
+    found = _short_descent(w)
+    if found is None:
+        raise _not_a_factor(w)
+    return _block_word_trace(*found[1])
 
 
 def _family_signatures(words) -> dict:
@@ -86,7 +112,7 @@ def _family_signatures(words) -> dict:
     lengths = {len(u) for u in members}
     if len(lengths) != 1 or 0 in lengths:
         raise ValueError("range family members must share one positive length")
-    return {u: _signature(u) for u in members}
+    return {u: _factor_descent(u)[1] for u in members}
 
 
 def trace_family(words) -> Fraction:
@@ -129,7 +155,7 @@ def matrix_iterate(t, n: int):
     (2^-n - (-1)^n u)/3), read off without iterating.
     """
     n = _check_int(n, "n")
-    t = Fraction(t)
+    t = _parse_t(t)
     if not 0 <= t <= _HALF:
         raise ValueError("t must lie in [0, 1/2]")
     if n < 0:
@@ -141,6 +167,22 @@ def matrix_iterate(t, n: int):
                                  f"exceeds {MAX_MATRIX_T_BITS}")
     u = (3 * t - _HALF) * (-1) ** n
     return ((_HALF ** (n + 1) + u) / 3, (_HALF ** n - u) / 3)
+
+
+def _parse_t(t) -> Fraction:
+    """Fraction(t); a str t is first held to MAX_MATRIX_T_LITERAL in its
+    length and in the size of its decimal exponent (ResourceLimitError)."""
+    if isinstance(t, str):
+        if len(t) > MAX_MATRIX_T_LITERAL:
+            raise ResourceLimitError(
+                f"t literal has {len(t)} characters, exceeds {MAX_MATRIX_T_LITERAL}")
+        exponent = _EXPONENT.search(t)
+        digits = exponent[1].replace("_", "") if exponent else ""
+        # more than four digits after the leading zeros is past 8192 already
+        if len(digits) > 4 or int(digits or "0") > MAX_MATRIX_T_LITERAL:
+            raise ResourceLimitError(
+                f"decimal exponent of t exceeds {MAX_MATRIX_T_LITERAL} in size")
+    return Fraction(t)
 
 
 def uniqueness_interval(N: int):

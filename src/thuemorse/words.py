@@ -153,11 +153,13 @@ def _right_window(lo: int, n: int) -> str:
     k = (n - 1).bit_length()
     q = lo >> k
     start = lo - (q << k)
-    pair = _pair(k)
-    head = pair[_letter(q)][start:start + n]
+    # the table entry once it is filled, and w[q], w[q + 1] as in `_letter`:
+    # no call on this hot path
+    pair = _short_blocks[k] or _pair(k)
+    head = pair[q.bit_count() & 1][start:start + n]
     if len(head) == n:
         return head
-    return head + pair[_letter(q + 1)][:n - len(head)]
+    return head + pair[(q + 1).bit_count() & 1][:n - len(head)]
 
 
 def tm_slice(lo: int, hi: int) -> str:
@@ -166,18 +168,31 @@ def tm_slice(lo: int, hi: int) -> str:
     Any window of at most MAX_SLICE letters at any offset, in
     O(hi - lo + log |lo|) time and memory; no prefix is built.  Indices
     below 0 follow the mirror rule w[-i] = w[i-1], so the part left of 0
-    is a right-hand window read backwards.
+    is a right-hand window read backwards.  A window of at most
+    MAX_CACHED_LENGTH letters between exact ints is memoised, so a repeat
+    is one lookup; such a call cannot raise, and every other is checked.
     """
+    if type(lo) is int and type(hi) is int and 0 <= hi - lo <= MAX_CACHED_LENGTH:
+        return _short_slice(lo, hi)
     lo, hi = _check_int(lo, "lo"), _check_int(hi, "hi")
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi})")
     if hi - lo > MAX_SLICE:
         raise ResourceLimitError(f"slice length {hi - lo} exceeds {MAX_SLICE}")
+    return _slice(lo, hi)
+
+
+def _slice(lo: int, hi: int) -> str:
+    """`tm_slice` for ints lo <= hi, unchecked."""
     if lo >= 0:
         return _right_window(lo, hi - lo)
     if hi <= 0:
         return _right_window(-hi, hi - lo)[::-1]
     return tm_prefix(-lo)[::-1] + tm_prefix(hi)
+
+
+# an entry holds at most MAX_CACHED_LENGTH letters, so 4 MiB in all
+_short_slice = lru_cache(maxsize=1 << 10)(_slice)
 
 
 def block(i: int, n: int) -> str:
@@ -262,16 +277,27 @@ def _owner(gamma: str, level: int, suffix: bool):
 
     The length-g prefix of block(j, n) is that of block(j, k) for 2**k >= g,
     and its suffix reversed is the prefix of block(j + n mod 2, k).  So two
-    prefix matches against `_pair(k)` replace building both level-n blocks.
+    prefix matches against `_pair(k)`, or against the first g letters of
+    each level-k block above MAX_CACHED_LENGTH letters, replace building
+    both level-n blocks.
     """
     flip = 0
     if suffix:
         gamma, flip = gamma[::-1], level & 1
-    b0, b1 = _pair((len(gamma) - 1).bit_length())
-    if b0.startswith(gamma):
-        return flip
-    if b1.startswith(gamma):
-        return 1 - flip
+    g = len(gamma)
+    k = (g - 1).bit_length()
+    if k <= _SHORT_LEVEL:
+        b0, b1 = _short_blocks[k] or _pair(k)  # no call once the level is filled
+        if b0.startswith(gamma):
+            return flip
+        if b1.startswith(gamma):
+            return 1 - flip
+        return None
+    # above MAX_CACHED_LENGTH letters, the first g letters of each block,
+    # the second built only after the first is dropped
+    for j in (0, 1):
+        if _right_window(j << k, g) == gamma:
+            return j ^ flip
     return None
 
 
@@ -394,11 +420,15 @@ def is_factor(w: str) -> bool:
     return _descent(w) is not None
 
 
+def _not_a_factor(w: str) -> NotAFactorError:
+    return NotAFactorError(f"{w!r} does not occur in the Thue-Morse sequence")
+
+
 def _factor_descent(w: str) -> tuple:
     """`_descent(w)`, checking w; raises NotAFactorError for a non-factor."""
     found = _descent(w)
     if found is None:
-        raise NotAFactorError(f"{w!r} does not occur in the Thue-Morse sequence")
+        raise _not_a_factor(w)
     return found
 
 

@@ -288,7 +288,7 @@ def test_decompose_matches_absolute_grid_on_far_factors(start, length):
     size = 1 << n
     completed = "".join(letters(q * size, q * size + 1)
                         for q in range(start // size, -(-(start + length) // size)))
-    assert blocks._signature(w) == (n, completed)
+    assert words._factor_descent(w)[1] == (n, completed)
 
 
 def test_one_lift_chain_per_word(count_calls):

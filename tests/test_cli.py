@@ -175,6 +175,8 @@ OVER_CAP = "0" * (words.MAX_WORD_LENGTH + 1)
     # t with a denominator of 4096 bits still prints at the top level; 4097 is refused
     (["matrix", "1/" + str((1 << 4096) - 1), "8192"], 0),
     (["matrix", "1/" + str(1 << 4096), "8192"], 1),
+    # a literal is held to 8192 characters (and its exponent to that size)
+    (["matrix", "1" * 8193, "3"], 1),
 ])
 def test_boundary_values(capsys, argv, code):
     got, payload = run_json(capsys, argv)
@@ -210,10 +212,15 @@ def test_completion_guards_raise_invariant_errors(capsys, monkeypatch):
         m.setattr(words, "_owner", lambda gamma, level, suffix: None)
         with pytest.raises(InvariantError, match="completes no level"):
             blocks.complete_boundaries(d)
-    _, c = blocks._signature(w)
+    _, c = words._factor_descent(w)[1]
     monkeypatch.setattr(blocks, "is_factor", lambda u: u != c)
     with pytest.raises(InvariantError, match="not a factor"):
         blocks.complete_boundaries(blocks.decompose(w, blocks.choose_level(w)))
+
+
+def test_a_huge_exponent_is_refused_before_parsing(capsys):
+    code, payload = run_json(capsys, ["matrix", "1e-10000000", "3"])
+    assert (code, payload) == (1, {"error": "decimal exponent of t exceeds 8192 in size"})
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,13 +1,17 @@
 """Cross-module consistency on long words, beyond the exhaustive ranges."""
 
+import importlib
 import json
+import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import thuemorse
 from thuemorse import afcore, blocks, ktheory, repwindow, trace, words
 
 starts = st.integers(min_value=-3000, max_value=3000)
@@ -138,3 +142,62 @@ def test_integer_arguments_reject_other_types(call, args, name):
         call(*args)
     # a bool is an int to operator.index
     assert words.tm_slice(False, True) == "0"
+
+
+class _Word(str):
+    pass
+
+
+_FAR = words.tm_slice((1 << 41) + 5, (1 << 41) + 45)  # a word no other test builds
+_LONG = words.tm_slice(-(1 << 41), -(1 << 41) + words.MAX_CACHED_LENGTH + 1)
+_WORDS = [(w,) for w in words._factors_upto(20)]
+
+
+# the admitted keys, then calls that store nothing: a non-factor, an empty
+# word, a str subclass, an over-cap word; a reversed window, a bool or float
+# bound, an over-cap window; then a stream of distinct keys
+@pytest.mark.parametrize("memo, call, admitted, others, stream", [
+    (trace._short_trace_range, trace.trace_range, [(_FAR,), ("0110100",)],
+     [("00000",), ("",), (_Word(_FAR),), (_LONG,), ("0" * (words.MAX_WORD_LENGTH + 1),)], _WORDS),
+    (ktheory._short_reduce_class, ktheory.reduce_class, [(_FAR,), ("0110100",)],
+     [("00000",), ("",), (_Word(_FAR),), (_LONG,), ("0" * (words.MAX_WORD_LENGTH + 1),)], _WORDS),
+    (words._short_slice, words.tm_slice, [(5, 45), (-(1 << 41), -(1 << 41) + 64), (-3, 4), (7, 7)],
+     [(9, 5), (True, 3), (0, 3.0), (0, words.MAX_CACHED_LENGTH + 1)],
+     [(i, i + 8) for i in range(1100)]),
+])
+def test_an_answer_memo_gives_the_cold_answer_and_stays_bounded(memo, call, admitted, others,
+                                                                  stream):
+    def outcome(args):
+        try:
+            return call(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    for i, args in enumerate(admitted + others):
+        memo.cache_clear()
+        cold = outcome(args)
+        # the warm answer, or the same exception type and message
+        assert outcome(args) == cold
+        stored = i < len(admitted)
+        assert memo.cache_info().hits == memo.cache_info().currsize == stored
+    for args in stream:
+        call(*args)
+    info = memo.cache_info()
+    assert info.currsize == info.maxsize < len(stream)
+    for args in others:
+        outcome(args)
+    # nothing was stored, so the least recent key is still held
+    call(*stream[-info.maxsize])
+    assert memo.cache_info().hits == info.hits + 1
+
+
+def test_readme_names_every_memo():
+    # every module-level object with cache_info, under the name it is bound to
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    memos = []
+    for info in pkgutil.iter_modules(thuemorse.__path__):
+        module = importlib.import_module(f"thuemorse.{info.name}")
+        memos += [f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if hasattr(obj, "cache_info") and obj.__module__ == module.__name__]
+    assert len(memos) >= 12
+    assert [m for m in memos if f"`{m}`" not in readme] == []

@@ -85,6 +85,20 @@ def test_extension_sets_are_factor_scans(oracle_prefix):
                 assert extensions.extension_set(w, m, n) == scan
 
 
+def test_short_extension_sets_are_reference_scans(oracle_factors):
+    # the factor-window route, |w| + m + n <= MAX_FACTOR_LENGTH, for every
+    # factor of at most 20 letters and 0 <= m, n <= 3
+    scans = {L: oracle_factors(L) for L in range(1, 27)}
+    for m in range(4):
+        for n in range(4):
+            for L in range(1, 21):
+                found = {}
+                for u in scans[L + m + n]:
+                    found.setdefault(u[m:m + L], []).append(u)
+                for w in scans[L]:
+                    assert extensions._extend(w, m, n) == sorted(found[w]), (w, m, n)
+
+
 def test_a_repeat_returns_a_new_equal_list():
     first = extensions.extension_set("0110", 1, 1)
     second = extensions.extension_set("0110", 1, 1)

@@ -216,6 +216,23 @@ def test_matrix_t_size_cap():
             trace.matrix_iterate(t, top)
 
 
+def test_a_str_t_is_bounded_before_fraction_reads_it():
+    cap = trace.MAX_MATRIX_T_LITERAL
+    # Fraction would build 10**|exponent| first
+    for t in ("1e-10000000", "1E+0099999999", "0e99999999", f"1e-{cap + 1}", "1e-" + "9" * 5000):
+        with pytest.raises(ResourceLimitError, match=f"^decimal exponent of t exceeds {cap} in size$"):
+            trace.matrix_iterate(t, 3)
+    with pytest.raises(ResourceLimitError, match=f"^t literal has {cap + 1} characters, exceeds {cap}$"):
+        trace.matrix_iterate("0" * (cap + 1), 3)
+    # at the exponent cap the denominator cap refuses it instead, and the
+    # longest p/q that cap admits is parsed
+    with pytest.raises(ResourceLimitError, match=f"^denominator of t has {(10 ** cap).bit_length()} bits"):
+        trace.matrix_iterate(f"1e-{cap}", 3)
+    q = (1 << trace.MAX_MATRIX_T_BITS) - 1
+    assert trace.matrix_iterate(f"{q // 2}/{q}", 3) == trace.matrix_iterate(Fraction(q // 2, q), 3)
+    assert trace.matrix_iterate("0.5e-0000", 2) == trace.matrix_iterate(Fraction(1, 2), 2)
+
+
 def test_uniqueness_interval_examples():
     lo, hi = trace.uniqueness_interval(1)
     assert lo < SIXTH < hi

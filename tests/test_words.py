@@ -67,6 +67,15 @@ def test_slice_at_any_offset_matches_popcount_letters(lo, n):
     assert words.tm_slice(lo, lo + n) == letters(lo, lo + n)
 
 
+def test_a_long_partial_block_is_matched_against_its_own_length():
+    # top level 18, with partial blocks of 262 067 and 257 221 letters: each
+    # is matched against that many letters of a block, not a whole block
+    lo = (1 << 33) + 77
+    w = words.tm_slice(lo, lo + 1043576)
+    found, peak = peak_bytes(words.is_factor, w)
+    assert found and peak <= 2.1 * len(w)
+
+
 def test_far_slices_build_no_prefix():
     for lo in ((1 << 26) - 10, 1 << 40, -(1 << 40)):
         assert peak_bytes(words.tm_slice, lo, lo + 10)[1] < 64 * 1024, lo
