@@ -100,6 +100,7 @@ def push_trace_down(matrix: InclusionMatrix, upper: list) -> list:
 
 def bratteli_data(kmax: int) -> dict:
     """Levels and inclusion matrices up to kmax, JSON-ready."""
+    kmax = _check_int(kmax, "kmax")
     _check_level(kmax)
     levels = []
     for k in range(1, kmax + 1):
@@ -118,6 +119,7 @@ def bratteli_json(kmax: int) -> str:
 
 def bratteli_dot(kmax: int) -> str:
     """The Bratteli diagram as a DOT digraph, one rank per level."""
+    kmax = _check_int(kmax, "kmax")
     _check_level(kmax)
     lines = ["digraph bratteli {", "  rankdir=TB;", "  node [shape=point];"]
     for k in range(1, kmax + 1):

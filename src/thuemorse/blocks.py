@@ -11,8 +11,10 @@ from the one descent that also decides membership, `words._descent`,
 which is cached for words of at most `words.MAX_CACHED_LENGTH` letters:
 `is_factor`, `choose_level`, `decompose`, `trace_range` and
 `reduce_class` of one such word descend once, and each call on a
-longer word descends once.  The module caches nothing: `recompose` reads
-both blocks of a level from `words._pair`.
+longer word descends once.  The one memo here, `_short_decompose`, holds
+each such word's decomposition at its `choose_level`, so a repeated
+`decompose` at that level reads no descent; `recompose` reads both
+blocks of a level from `words._pair`.
 
 Decompositions that `decompose` and `complete_boundaries` read off the
 chain are built by `tuple.__new__`, which skips the checks of
@@ -26,10 +28,12 @@ chain's top entry, with no BlockDecomposition built, or (0, w) without
 a level-1 grid.  Trace and K0 class are functions of it alone.
 """
 
+from functools import lru_cache
+
 from ._value import value_base
 from .errors import InvariantError, LevelError, NotAFactorError
-from .words import (_bits, _complete, _factor_descent, _from_bits, _is_binary, _owner, _pair,
-                    is_factor)
+from .words import (MAX_CACHED_LENGTH, _bits, _check_int, _complete, _factor_descent, _from_bits,
+                    _is_binary, _owner, _pair, is_factor)
 
 
 class BlockDecomposition(value_base("level gamma0 blocks gamma1")):
@@ -84,11 +88,19 @@ def decompose(w: str, n: int) -> BlockDecomposition:
     """The unique level-n block decomposition of a factor.
 
     Raises LevelError when the level-n grid does not admit at least two
-    full blocks inside w.
+    full blocks inside w.  An exact str of at most MAX_CACHED_LENGTH
+    letters asked at an exact int n equal to its `choose_level` is
+    answered from `_short_decompose`, the same object on every hit; a
+    lower level pays that lookup and then reads the chain here.
     """
+    if type(w) is str and type(n) is int and len(w) <= MAX_CACHED_LENGTH:
+        d = _short_decompose(w)
+        if d.level == n:
+            return d
     chain = _chain(w)
     if len(w) < 2:
         raise LevelError("words of length < 2 have no block decomposition")
+    n = _check_int(n, "n")
     if n < 0:
         raise ValueError("level must be nonnegative")
     if n == 0:
@@ -98,6 +110,23 @@ def decompose(w: str, n: int) -> BlockDecomposition:
     if n > len(chain):
         raise LevelError(f"no level-{n} decomposition of {w!r} with two full blocks")
     c, off = chain[n - 1]
+    return tuple.__new__(BlockDecomposition, (n, w[:off], _bits(c), w[off + (len(c) << n):]))
+
+
+# keyed on the word alone: `verify` asks each (word, level) pair once, so a
+# (w, n) key would store every level and hit none.  An entry holds its key
+# word and a decomposition of it, at most 2 * MAX_CACHED_LENGTH letters.
+@lru_cache(maxsize=1 << 9)
+def _short_decompose(w: str) -> BlockDecomposition:
+    """`decompose(w, choose_level(w))` by the same checks, inlined there so
+    that a call below the top level pays no extra frame."""
+    chain = _chain(w)
+    if len(w) < 2:
+        raise LevelError("words of length < 2 have no block decomposition")
+    if not chain:
+        return tuple.__new__(BlockDecomposition, (0, "", _bits(w), ""))
+    n = len(chain)
+    c, off = chain[-1]
     return tuple.__new__(BlockDecomposition, (n, w[:off], _bits(c), w[off + (len(c) << n):]))
 
 
@@ -139,6 +168,7 @@ def rewrite_five(blocks, n: int):
     blocks = tuple(blocks)
     if len(blocks) != 5 or any(b not in (0, 1) for b in blocks):
         raise ValueError("need exactly five 0/1 block letters")
+    n = _check_int(n, "n")
     if n < 0:
         raise ValueError("level must be nonnegative")
     word = _from_bits(blocks)

@@ -26,7 +26,7 @@ from functools import lru_cache
 from ._value import value_base
 from .blocks import complete_boundaries, decompose
 from .errors import InvariantError, LevelError, ResourceLimitError
-from .words import (MAX_CACHED_LENGTH, _factor_descent, _from_bits, _not_a_factor,
+from .words import (MAX_CACHED_LENGTH, _check_int, _factor_descent, _from_bits, _not_a_factor,
                     _short_descent, factors_of_length, is_factor, require_factor)
 
 # Highest level `evaluate` accepts.  Its value has a 6 * 2**level
@@ -42,7 +42,13 @@ class K0Element(value_base("level a b")):
     __slots__ = ()
 
     def __post_init__(self):
-        if self.level < 0:
+        level, a, b = self
+        # operator.index on each field, which the exact ints of the
+        # package's own arithmetic skip
+        if type(level) is not int or type(a) is not int or type(b) is not int:
+            for name, value in zip(self._fields, self):
+                _check_int(value, name)
+        if level < 0:
             raise ValueError("level must be nonnegative")
 
 

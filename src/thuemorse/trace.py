@@ -138,6 +138,7 @@ def trace_spanning(alpha: str, beta: str, words) -> Fraction:
 
 def block_trace(i: int, j: int, n: int) -> Fraction:
     """Closed-form trace of the two-block word i^(n) j^(n)."""
+    i, j, n = _check_int(i, "i"), _check_int(j, "j"), _check_int(n, "n")
     if i not in (0, 1) or j not in (0, 1):
         raise ValueError("block letters must be 0 or 1")
     if not 0 <= n <= MAX_BLOCK_TRACE_LEVEL:

@@ -33,6 +33,9 @@ from .errors import NotAFactorError, ResourceLimitError
 MAX_SLICE = 1 << 26
 MAX_BLOCK_LEVEL = 20  # log2 MAX_WORD_LENGTH
 MAX_FACTOR_LENGTH = 64
+# Most start indices `occurrences` returns: a list of 2**20 ints is about
+# 36 MB, while occurrences("0", 0, 2**26) would be 3.4e7 of them.
+MAX_OCCURRENCES = 1 << 20
 # Longest word any word-taking function accepts.  Membership, block
 # decomposition, trace and K0 reduction all run in O(|w|) time and
 # memory, so this bounds every per-word query.
@@ -197,6 +200,7 @@ _short_slice = lru_cache(maxsize=1 << 10)(_slice)
 
 def block(i: int, n: int) -> str:
     """n-fold substitution image of the letter i; length 2**n."""
+    i, n = _check_int(i, "i"), _check_int(n, "n")
     if i not in (0, 1):
         raise ValueError(f"letter must be 0 or 1, got {i}")
     if n < 0:
@@ -454,8 +458,16 @@ def _factors_upto(max_len: int) -> list:
 
 
 def occurrences(w: str, lo: int, hi: int) -> list:
-    """Start indices of all occurrences of w inside the slice [lo, hi)."""
+    """Start indices of all occurrences of w inside the slice [lo, hi).
+
+    Raises ResourceLimitError, before the list is built, when there are
+    more than MAX_OCCURRENCES of them.
+    """
     _check_word(w)
-    # tm_slice checks lo and hi; overlap-free, so finditer's non-overlapping
-    # matches are all occurrences
-    return [m.start() + lo for m in re.finditer(w, tm_slice(lo, hi))]
+    # tm_slice checks lo and hi; overlap-free, so str.count and finditer's
+    # non-overlapping matches see every occurrence
+    window = tm_slice(lo, hi)
+    count = window.count(w)
+    if count > MAX_OCCURRENCES:
+        raise ResourceLimitError(f"{count} occurrences exceed MAX_OCCURRENCES = {MAX_OCCURRENCES}")
+    return [m.start() + lo for m in re.finditer(w, window)]

@@ -312,3 +312,28 @@ def test_serialization():
     assert d.as_dict() == {
         "level": 3, "gamma0": "0010110", "blocks": [1, 0, 1], "gamma1": "0"}
     assert "gamma0" in d.to_json()
+
+
+def test_a_repeated_top_level_decompose_reads_no_descent(count_calls):
+    start = (1 << 44) + 99  # a word no other test builds
+    w = letters(start, start + 300)
+    n = blocks.choose_level(w)
+    first = blocks.decompose(w, n)
+    descents = count_calls(words, "_descent")
+    assert blocks.decompose(w, n) is first
+    assert descents == []
+    # a lower level reads the chain again
+    assert blocks.decompose(w, n - 1).level == n - 1
+    assert descents == [w]
+
+
+def test_a_decomposition_memo_hit_is_the_cold_answer():
+    memo = blocks._short_decompose
+    for w in words._factors_upto(10)[2:] + [letters((1 << 44) + 5, (1 << 44) + 1000)]:
+        top = blocks.choose_level(w)
+        for n in range(top + 1):
+            memo.cache_clear()
+            cold = blocks.decompose(w, n)
+            assert memo.cache_info().currsize == 1
+            warm = blocks.decompose(w, n)
+            assert warm == cold == blocks.BlockDecomposition(*cold)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import thuemorse
-from thuemorse import afcore, blocks, ktheory, repwindow, trace, words
+from thuemorse import afcore, blocks, extensions, ktheory, repwindow, trace, words
 
 starts = st.integers(min_value=-3000, max_value=3000)
 lengths = st.integers(min_value=2, max_value=220)
@@ -134,6 +134,12 @@ def test_value_class_contract(cls, fields, text, as_dict):
     (afcore.inclusion_matrix, (Fraction(2),), "k"), (repwindow.empirical_trace, ("01", 64.0), "W"),
     (repwindow.axiom_residuals, (256, 4.0), "maxlen"), (trace.matrix_iterate, ("1/6", 3.0), "n"),
     (trace.uniqueness_interval, (3.0,), "N"),
+    (words.block, (1.0, 2), "i"), (words.block, (0, "2"), "n"),
+    (blocks.decompose, ("0110", 1.0), "n"), (extensions.extension_set, ("0110", 1.0, 1), "m"),
+    (extensions.extension_set, ("0110", 1, None), "n"), (trace.block_trace, (0, 1, 2.0), "n"),
+    (trace.block_trace, (0, 1.0, 2), "j"), (afcore.bratteli_data, (2.0,), "kmax"),
+    (afcore.bratteli_dot, (2.0,), "kmax"), (afcore.bratteli_json, (Fraction(2),), "kmax"),
+    (blocks.rewrite_five, ([0, 1, 1, 0, 0], 1.0), "n"),
 ])
 def test_integer_arguments_reject_other_types(call, args, name):
     # af_level(2) is cached first: an equal float must still be refused
@@ -164,6 +170,10 @@ _WORDS = [(w,) for w in words._factors_upto(20)]
     (words._short_slice, words.tm_slice, [(5, 45), (-(1 << 41), -(1 << 41) + 64), (-3, 4), (7, 7)],
      [(9, 5), (True, 3), (0, 3.0), (0, words.MAX_CACHED_LENGTH + 1)],
      [(i, i + 8) for i in range(1100)]),
+    (blocks._short_decompose, blocks.decompose, [(_FAR, blocks.choose_level(_FAR)), ("0110100", 1)],
+     [("00000", 0), ("", 0), ("0", 0), ("0110", 1.0), (_Word(_FAR), 2), (_LONG, 2),
+      ("0" * (words.MAX_WORD_LENGTH + 1), 0)],
+     [(w, blocks.choose_level(w)) for w in words._factors_upto(20) if len(w) > 1]),
 ])
 def test_an_answer_memo_gives_the_cold_answer_and_stays_bounded(memo, call, admitted, others,
                                                                   stream):

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thuemorse import extensions, words
 from thuemorse.errors import NotAFactorError, ResourceLimitError
+from reference import letters
 
 
 def test_examples():
@@ -135,3 +138,32 @@ def test_only_calls_with_a_short_worst_case_are_keys():
     with pytest.raises(ResourceLimitError, match=f"extended length {10 ** 30 + 1} exceeds"):
         extensions.extension_set("0", 10 ** 30, 0)
     assert memo.cache_info().currsize == 2
+
+
+@given(st.integers(min_value=-(1 << 60), max_value=1 << 60),
+       st.integers(min_value=1, max_value=3000))
+@settings(max_examples=60, deadline=None)
+def test_far_one_letter_extensions_are_the_neighbours_in_the_oracle(oracle_prefix, start, length):
+    # A window of at most 2**k letters lies in two consecutive level-k
+    # blocks, block(a, k) block(b, k) with ab a factor, and all four
+    # two-letter words occur in the first 8 letters 01101001; so every
+    # factor of at most 2**13 letters, a + w + b included, occurs in the
+    # oracle's 2**16 letters, and its neighbours there are all of ext(w, 1, 1).
+    w = letters(start, start + length)
+    found, i = set(), oracle_prefix.find(w, 1)
+    while 0 < i < len(oracle_prefix) - length:
+        found.add(oracle_prefix[i - 1:i + length + 1])
+        i = oracle_prefix.find(w, i + 1)
+    assert extensions.extension_set(w, 1, 1) == sorted(found)
+
+
+def test_a_first_extension_set_reads_one_descent_and_tests_no_candidate(count_calls):
+    # above MAX_FACTOR_LENGTH - 2 letters, the candidates a + w + b were each
+    # tested by is_factor, one descent apiece
+    for start in ((1 << 43) + 17, -(1 << 43) - 230):
+        w = words.tm_slice(start, start + 200)
+        extensions._short_extension_set.cache_clear()
+        descents, tests = count_calls(words, "_descent"), count_calls(words, "is_factor")
+        found = extensions.extension_set(w, 1, 1)
+        assert (descents, tests) == ([w], [])
+        assert found == extensions._extend(w, 1, 1)

@@ -47,6 +47,14 @@ deep_elements = st.one_of(
 )
 
 
+def test_k0_fields_are_integers():
+    # operator.index on each field, so a float never enters the K0 layer
+    for args, name in [((1.0, 1, 0), "level"), ((0, 1.5, 0), "a"), ((0, 1, "0"), "b")]:
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            K0Element(*args)
+    assert K0Element(True, 1, 0) == K0Element(True, 1, 0)
+
+
 def test_promote_examples():
     assert ktheory.promote(K0Element(0, 1, 0)) == K0Element(1, 0, 2)
     assert ktheory.promote(K0Element(0, 0, 1)) == K0Element(1, 1, 1)

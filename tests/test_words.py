@@ -305,6 +305,16 @@ def test_occurrences_examples():
     assert words.occurrences("0110", 0, 8) == [0]
 
 
+def test_occurrences_are_capped_before_the_list_is_built(monkeypatch):
+    # "01" starts 5 times in x[0..16) = 0110100110010110 and 6 times in x[0..17)
+    assert words.MAX_OCCURRENCES == 1 << 20
+    monkeypatch.setattr(words, "MAX_OCCURRENCES", 5)
+    assert words.occurrences("01", 0, 16) == scan(letters(0, 16), "01") == [0, 3, 6, 10, 12]
+    assert len(scan(letters(0, 17), "01")) == 6
+    with pytest.raises(ResourceLimitError, match="^6 occurrences exceed MAX_OCCURRENCES = 5$"):
+        words.occurrences("01", 0, 17)
+
+
 def test_occurrences_two_sided(oracle_prefix):
     occ = words.occurrences("0110", -8, 8)
     assert occ == [-4, 0]
