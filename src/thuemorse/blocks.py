@@ -16,16 +16,17 @@ each such word's decomposition at its `choose_level`, so a repeated
 `decompose` at that level reads no descent; `recompose` reads both
 blocks of a level from `words._pair`.
 
-Decompositions that `decompose` and `complete_boundaries` read off the
-chain are built by `tuple.__new__`, which skips the checks of
-`BlockDecomposition.__post_init__`; `recompose`, the split tables of
+`_split` reads a level's blocks off w at the descent's grid offset, as
+one stride slice.  It and `complete_boundaries` build decompositions by
+`tuple.__new__`, which skips `BlockDecomposition.__post_init__`'s
+checks; `recompose`, the split tables of
 `verify` (every split of every factor of one length at one level, with
-no lift chain) and the tests check them instead.
+no descent) and the tests check them instead.
 
 The signature (n, c) of a factor, the second item of its descent, is
-its top level n and the block word c of 2..6 letters that completes the
-chain's top entry, with no BlockDecomposition built, or (0, w) without
-a level-1 grid.  Trace and K0 class are functions of it alone.
+its top level n and the block word c of 2..6 letters that completes
+its top-level blocks, with no BlockDecomposition built, or (0, w)
+without a level-1 grid.  Trace and K0 class are functions of it alone.
 """
 
 from functools import lru_cache
@@ -79,9 +80,17 @@ def recompose(d: BlockDecomposition) -> str:
 
 
 def _chain(w: str) -> tuple:
-    """The lift chain of a factor (`words._descent`), empty for words of
-    at most four letters; raises NotAFactorError for a non-factor."""
+    """The level offsets of a factor's descent (`words._descent`), empty for
+    words of at most four letters; raises NotAFactorError for a non-factor."""
     return _factor_descent(w)[0]
+
+
+def _split(w: str, offsets: tuple, n: int) -> BlockDecomposition:
+    """The level-n decomposition of w from its descent's level offsets,
+    for 0 <= n <= len(offsets); unchecked."""
+    off = offsets[n - 1] if n else 0
+    end = off + ((len(w) - off) >> n << n)
+    return tuple.__new__(BlockDecomposition, (n, w[:off], _bits(w[off:end:1 << n]), w[end:]))
 
 
 def decompose(w: str, n: int) -> BlockDecomposition:
@@ -91,26 +100,23 @@ def decompose(w: str, n: int) -> BlockDecomposition:
     full blocks inside w.  An exact str of at most MAX_CACHED_LENGTH
     letters asked at an exact int n equal to its `choose_level` is
     answered from `_short_decompose`, the same object on every hit; a
-    lower level pays that lookup and then reads the chain here.
+    lower level pays that lookup and then reads the descent here.
     """
     if type(w) is str and type(n) is int and len(w) <= MAX_CACHED_LENGTH:
         d = _short_decompose(w)
         if d.level == n:
             return d
-    chain = _chain(w)
+    offsets = _chain(w)
     if len(w) < 2:
         raise LevelError("words of length < 2 have no block decomposition")
     n = _check_int(n, "n")
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if n == 0:
-        return tuple.__new__(BlockDecomposition, (0, "", _bits(w), ""))
-    if not chain:
+    if n and not offsets:
         raise LevelError(f"no level-1 decomposition of {w!r} with two full blocks")
-    if n > len(chain):
+    if n > len(offsets):
         raise LevelError(f"no level-{n} decomposition of {w!r} with two full blocks")
-    c, off = chain[n - 1]
-    return tuple.__new__(BlockDecomposition, (n, w[:off], _bits(c), w[off + (len(c) << n):]))
+    return _split(w, offsets, n)
 
 
 # keyed on the word alone: `verify` asks each (word, level) pair once, so a
@@ -118,24 +124,19 @@ def decompose(w: str, n: int) -> BlockDecomposition:
 # word and a decomposition of it, at most 2 * MAX_CACHED_LENGTH letters.
 @lru_cache(maxsize=1 << 9)
 def _short_decompose(w: str) -> BlockDecomposition:
-    """`decompose(w, choose_level(w))` by the same checks, inlined there so
-    that a call below the top level pays no extra frame."""
-    chain = _chain(w)
+    """`decompose(w, choose_level(w))` by the same checks."""
+    offsets = _chain(w)
     if len(w) < 2:
         raise LevelError("words of length < 2 have no block decomposition")
-    if not chain:
-        return tuple.__new__(BlockDecomposition, (0, "", _bits(w), ""))
-    n = len(chain)
-    c, off = chain[-1]
-    return tuple.__new__(BlockDecomposition, (n, w[:off], _bits(c), w[off + (len(c) << n):]))
+    return _split(w, offsets, len(offsets))
 
 
 def choose_level(w: str) -> int:
     """The largest level at which w decomposes into 2..4 full blocks."""
-    chain = _chain(w)
+    offsets = _chain(w)
     if len(w) < 2:
         raise LevelError("words of length < 2 have no block decomposition")
-    return len(chain)
+    return len(offsets)
 
 
 def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:

@@ -7,12 +7,13 @@ words with count 3.
 
 The extension lemma reads the one-letter extensions of a factor u off
 its descent (`words._descent`), at every length.  Let (n, c) be u's
-signature and g0, g1 the lengths of its left and right partial blocks,
-so u = gamma0 . c' . gamma1 with c' the full level-n blocks and c the
+signature and g0, g1 the lengths of its left and right partial blocks:
+g0 is the descent's top grid offset and g1 = (|u| - g0) mod 2**n.  So
+u = gamma0 . c' . gamma1 with c' the full level-n blocks and c the
 block word c' completed by the owner letters of the partial ones.
 
   Every occurrence of u is aligned with its level-n split.  A level of
-  the chain lifts a block string of at least four letters: one with a
+  the descent lifts a block string of at least four letters: one with a
   00 or 11 has that pair straddle a grid boundary wherever it occurs,
   and 0101 and 1010 occur only on the even grid (the odd one would
   need 111 or 000 one level up).  So by induction on the levels, each
@@ -92,11 +93,9 @@ def _extend(w: str, m: int, n: int) -> list:
 def _letter_pairs(u: str, found: tuple) -> set:
     """The pairs (a, b) of letters with a + u + b a factor, by the extension
     lemma, from the descent `found` of the factor u."""
-    chain, (n, c) = found
-    g0 = g1 = 0
-    if chain:
-        blocks, g0 = chain[-1]
-        g1 = len(u) - g0 - (len(blocks) << n)
+    offsets, (n, c) = found
+    g0 = offsets[-1] if n else 0
+    g1 = (len(u) - g0) & ((1 << n) - 1)
     # the letter left of u ends a block at index 2**n - g0 - 1, the letter
     # right of it begins one at index g1: lefts[l] and rights[r] for the
     # block letters l and r

@@ -26,7 +26,7 @@ from functools import lru_cache
 from ._value import value_base
 from .blocks import complete_boundaries, decompose
 from .errors import InvariantError, LevelError, ResourceLimitError
-from .words import (MAX_CACHED_LENGTH, _check_int, _factor_descent, _from_bits, _not_a_factor,
+from .words import (MAX_CACHED_LENGTH, _check_int, _descend, _from_bits, _not_a_factor,
                     _short_descent, factors_of_length, is_factor, require_factor)
 
 # Highest level `evaluate` accepts.  Its value has a 6 * 2**level
@@ -77,7 +77,12 @@ def k0_equal(e1: K0Element, e2: K0Element) -> bool:
 
 def k0_add(e1: K0Element, e2: K0Element) -> K0Element:
     """Sum in normal form.  Both sides reach the higher level in one step:
-    k promotions send (s, d) to (2^k s, (-1)^k d)."""
+    k promotions send (s, d) to (2^k s, (-1)^k d).  The shift builds a
+    k-bit int, so a level gap k above MAX_EVALUATE_LEVEL is refused."""
+    gap = abs(e1.level - e2.level)
+    if gap > MAX_EVALUATE_LEVEL:
+        raise ResourceLimitError(
+            f"level gap {gap} exceeds MAX_EVALUATE_LEVEL = {MAX_EVALUATE_LEVEL}")
     level = max(e1.level, e2.level)
     s = d = 0
     for e in (e1, e2):
@@ -220,20 +225,12 @@ def reduce_class(w: str) -> K0Element:
 
     The class of w is that of its signature (n, c): the boundary
     completion preserves the class because the completing extensions
-    are unique.  An exact str of at most MAX_CACHED_LENGTH letters is
-    memoised, as `words._descent` is: the memo stores no call that
-    raises, so a repeat is one lookup.
+    are unique.  Read off the descent as `trace.trace_range` reads it,
+    so a repeated exact str of at most MAX_CACHED_LENGTH letters is two
+    memo lookups.
     """
-    if type(w) is str and len(w) <= MAX_CACHED_LENGTH:
-        return _short_reduce_class(w)
-    return _block_word_class(*_factor_descent(w)[1])
-
-
-# an entry holds its key word and one K0Element
-@lru_cache(maxsize=1 << 9)
-def _short_reduce_class(w: str) -> K0Element:
-    # `_descent` sends w to its memo too, so the memo is read directly
-    found = _short_descent(w)
+    # `words._descent`'s dispatch inline: a call through it adds a frame to every hit
+    found = _short_descent(w) if type(w) is str and len(w) <= MAX_CACHED_LENGTH else _descend(w)
     if found is None:
         raise _not_a_factor(w)
     return _block_word_class(*found[1])

@@ -88,6 +88,7 @@ def _check_window_word(alpha: str, W: int, allow_empty: bool = False):
 
 def build_generators(W: int):
     """The pair (T0, T1) of truncated shift generators."""
+    W = _check_int(W, "W")
     _check_width(W)
     sparse = _extra("scipy.sparse")
 
@@ -102,6 +103,7 @@ def word_operator(alpha: str, W: int) -> WindowOperator:
 
     Words that are not factors give the zero operator.
     """
+    W = _check_int(W, "W")
     _check_width(W)
     _check_window_word(alpha, W)
     sparse = _extra("scipy.sparse")
@@ -120,6 +122,7 @@ def range_projection(alpha: str, W: int) -> WindowOperator:
     products): the diagonal entry at n is 1 iff n - |alpha| >= -W and
     the letters at n - |alpha| .. n - 1 spell alpha.
     """
+    W = _check_int(W, "W")
     _check_width(W)
     _check_window_word(alpha, W, allow_empty=True)
     sparse = _extra("scipy.sparse")

@@ -25,9 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .words import (MAX_CACHED_LENGTH, _check_int, _check_word, _factor_descent, _factors_upto,
-                    _not_a_factor, _prefix_count, _short_descent, complement, is_factor,
-                    require_factor)
+from .words import (MAX_CACHED_LENGTH, _check_int, _check_word, _descend, _factor_descent,
+                    _factors_upto, _not_a_factor, _prefix_count, _short_descent, complement,
+                    is_factor, require_factor)
 
 MAX_FREQUENCY_WINDOW = 1 << 26
 MAX_BLOCK_TRACE_LEVEL = 30
@@ -83,20 +83,11 @@ def _block_word_trace(n: int, c: str) -> Fraction:
 def trace_range(w: str) -> Fraction:
     """Trace of the range projection of w = frequency of w in the sequence.
 
-    An exact str of at most MAX_CACHED_LENGTH letters is memoised, as
-    `words._descent` is: the memo stores no call that raises, so a repeat
-    is one lookup.
+    Read off the signature of w's descent, so a repeated exact str of at
+    most MAX_CACHED_LENGTH letters is two memo lookups.
     """
-    if type(w) is str and len(w) <= MAX_CACHED_LENGTH:
-        return _short_trace_range(w)
-    return _block_word_trace(*_factor_descent(w)[1])
-
-
-# an entry holds its key word and one Fraction
-@lru_cache(maxsize=1 << 9)
-def _short_trace_range(w: str) -> Fraction:
-    # `_descent` sends w to its memo too, so the memo is read directly
-    found = _short_descent(w)
+    # `words._descent`'s dispatch inline: a call through it adds a frame to every hit
+    found = _short_descent(w) if type(w) is str and len(w) <= MAX_CACHED_LENGTH else _descend(w)
     if found is None:
         raise _not_a_factor(w)
     return _block_word_trace(*found[1])

@@ -318,17 +318,19 @@ def _complete(gamma0: str, c: str, gamma1: str, level: int):
 
 
 def _descent(w: str):
-    """(chain, (n, c)) for a factor w, None for a non-factor.
+    """(offsets, (n, c)) for a factor w, None for a non-factor.
 
-    Chain entry n - 1, (c, off), says that w[off:off + len(c) * 2**n] is
-    the level-n expansion of the block letters c.  A 00 or 11 at index i
-    straddles a grid boundary, so it fixes the phase (i + 1) mod 2; a c
-    with neither is lifted on phase 0.  c is lifted once per level while
-    the grid leaves two full blocks; at the top the owners of the partial
-    ends complete it to the signature's block word.  That top check alone
-    decides membership: w is a subword of the completed word's expansion,
-    and a factor lifts on its own grid, so w is a factor exactly when the
-    completed word is.
+    offsets[k - 1] is w's level-k grid offset off: the level-k block
+    letters are the stride slice w[off:end:2**k], end = off + ((|w| -
+    off) >> k << k), and w[:off] and w[end:] are the partial blocks.  A
+    00 or 11 at index i straddles a grid boundary, so it fixes the phase
+    (i + 1) mod 2; a block string with neither is lifted on phase 0.  The
+    letters are lifted once per level while the grid leaves two full
+    blocks, and only the offsets are kept; at the top the owners of the
+    partial ends complete them to the signature's block word.  That top
+    check alone decides membership: w is a subword of the completed
+    word's expansion, and a factor lifts on its own grid, so w is a
+    factor exactly when the completed word is.
 
     `_descend` validates w (`_check_word`) before it lifts.  An exact str
     of at most MAX_CACHED_LENGTH letters goes through the memo, which
@@ -343,7 +345,7 @@ def _descent(w: str):
 
 def _descend(w: str):
     _check_word(w)
-    chain = []
+    offsets = []
     c, off = w, 0
     while True:
         i = c.find("00")
@@ -355,17 +357,17 @@ def _descend(w: str):
         c = lift(c, phase)
         if c is None:
             return None
-        off += phase << len(chain)
-        chain.append((c, off))
-    n = len(chain)
+        off += phase << len(offsets)
+        offsets.append(off)
+    n = len(offsets)
     top = _complete(w[:off], c, w[off + (len(c) << n):], n)
     if top is None or top not in _base_factors():
         return None
-    return tuple(chain), (n, top)
+    return tuple(offsets), (n, top)
 
 
 # 20k mixed queries on words of <= 64 letters descend 1.8k-1.9k distinct
-# words; an entry of 4096 letters (key and chain) holds about 10 kB.
+# words; an entry of 4096 letters (key, offsets, signature) holds 4.5 kB.
 _short_descent = lru_cache(maxsize=1 << 11)(_descend)
 
 

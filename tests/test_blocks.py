@@ -301,7 +301,7 @@ def test_one_lift_chain_per_word(count_calls):
     trace.trace_range(w)
     ktheory.reduce_class(w)
     after = words._short_descent.cache_info()
-    # choose_level descends; decompose reads the chain and trace and K0
+    # choose_level descends; decompose reads the offsets and trace and K0
     # the signature of that one descent, with no BlockDecomposition built
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 3)
     assert built == []
@@ -322,7 +322,7 @@ def test_a_repeated_top_level_decompose_reads_no_descent(count_calls):
     descents = count_calls(words, "_descent")
     assert blocks.decompose(w, n) is first
     assert descents == []
-    # a lower level reads the chain again
+    # a lower level reads the descent again
     assert blocks.decompose(w, n - 1).level == n - 1
     assert descents == [w]
 

@@ -140,6 +140,8 @@ def test_value_class_contract(cls, fields, text, as_dict):
     (trace.block_trace, (0, 1.0, 2), "j"), (afcore.bratteli_data, (2.0,), "kmax"),
     (afcore.bratteli_dot, (2.0,), "kmax"), (afcore.bratteli_json, (Fraction(2),), "kmax"),
     (blocks.rewrite_five, ([0, 1, 1, 0, 0], 1.0), "n"),
+    (repwindow.build_generators, (8.0,), "W"), (repwindow.word_operator, ("01", 16.0), "W"),
+    (repwindow.range_projection, ("0", 8.0), "W"), (afcore.trace_vector, (2.0,), "k"),
 ])
 def test_integer_arguments_reject_other_types(call, args, name):
     # af_level(2) is cached first: an equal float must still be refused
@@ -156,17 +158,19 @@ class _Word(str):
 
 _FAR = words.tm_slice((1 << 41) + 5, (1 << 41) + 45)  # a word no other test builds
 _LONG = words.tm_slice(-(1 << 41), -(1 << 41) + words.MAX_CACHED_LENGTH + 1)
-_WORDS = [(w,) for w in words._factors_upto(20)]
+# more distinct factors than the descent memo holds
+_FACTORS = [(words.tm_slice(k, 2 * k + 64),) for k in range(2100)]
 
 
 # the admitted keys, then calls that store nothing: a non-factor, an empty
 # word, a str subclass, an over-cap word; a reversed window, a bool or float
-# bound, an over-cap window; then a stream of distinct keys
+# bound, an over-cap window; then a stream of distinct keys.  The descent
+# memo also stores a non-factor's None, so "00000" is admitted there
 @pytest.mark.parametrize("memo, call, admitted, others, stream", [
-    (trace._short_trace_range, trace.trace_range, [(_FAR,), ("0110100",)],
-     [("00000",), ("",), (_Word(_FAR),), (_LONG,), ("0" * (words.MAX_WORD_LENGTH + 1),)], _WORDS),
-    (ktheory._short_reduce_class, ktheory.reduce_class, [(_FAR,), ("0110100",)],
-     [("00000",), ("",), (_Word(_FAR),), (_LONG,), ("0" * (words.MAX_WORD_LENGTH + 1),)], _WORDS),
+    (words._short_descent, trace.trace_range, [(_FAR,), ("0110100",), ("00000",)],
+     [("",), (_Word(_FAR),), (_LONG,), ("0" * (words.MAX_WORD_LENGTH + 1),)], _FACTORS),
+    (words._short_descent, ktheory.reduce_class, [(_FAR,), ("0110100",), ("00000",)],
+     [("",), (_Word(_FAR),), (_LONG,), ("0" * (words.MAX_WORD_LENGTH + 1),)], _FACTORS),
     (words._short_slice, words.tm_slice, [(5, 45), (-(1 << 41), -(1 << 41) + 64), (-3, 4), (7, 7)],
      [(9, 5), (True, 3), (0, 3.0), (0, words.MAX_CACHED_LENGTH + 1)],
      [(i, i + 8) for i in range(1100)]),

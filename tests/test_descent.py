@@ -4,8 +4,9 @@
 both grids, level by level, and `_reference_chain` the iterative lift
 chain that tried both grids at every level; the signature completes the
 chain's top by brute force, each partial block matched against both
-blocks of its level.  The descent must give the same membership, chain
-and signature on every word.  The overlap lemma backs the top check,
+blocks of its level.  The descent must give the same membership, level
+offsets and signature on every word, and each level's stride slice must
+be the chain's lifted word.  The overlap lemma backs the top check,
 which alone decides membership: a block string of five or more letters
 that lifts on both grids holds 01010 or 10101, so a factor's has a 00 or
 11 that fixes its own grid.  The counting gates bound the letters that
@@ -74,7 +75,11 @@ def _assert_matches_reference(w: str):
     found = words._descent(w)
     assert (found is not None) == _reference_is_factor(w), w
     if found is not None:
-        assert found == (_reference_chain(w), _reference_signature(w)), w
+        chain = _reference_chain(w)
+        assert found == (tuple(off for _, off in chain), _reference_signature(w)), w
+        # each level's block letters are the stride slice at its offset
+        for n, (c, off) in enumerate(chain, 1):
+            assert (len(w) - off) >> n == len(c) and w[off:off + (len(c) << n):1 << n] == c, (w, n)
 
 
 def test_descent_matches_the_reference_routes_on_every_short_word():

@@ -81,13 +81,18 @@ def test_closed_forms_match_the_level_loops(e1, e2):
 
 def test_k0_add_across_a_level_gap_promotes_in_one_step(count_calls):
     calls = count_calls(ktheory, "promote")
-    got = ktheory.k0_add(K0Element(0, 1, 2), K0Element(10 ** 5, 3, 1))
+    cap = ktheory.MAX_EVALUATE_LEVEL
+    got = ktheory.k0_add(K0Element(0, 1, 2), K0Element(cap, 3, 1))
     assert calls == []
-    # by hand, with s = a + b and d = 2a - b: at level 10**5 the sum has
-    # s = 3 * 2**(10**5) + 4 and d = 0 + 5; v2(s) = 2 levels demote, to
-    # s = 3h + 1 with h = 2**(10**5 - 2), and a = (s + d)/3, b = (2s - d)/3
-    h = 2 ** (10 ** 5 - 2)
-    assert got == K0Element(10 ** 5 - 2, h + 2, 2 * h - 1)
+    # by hand, with s = a + b and d = 2a - b: at level cap the sum has
+    # s = 3 * 2**cap + 4 and d = 0 + 5; v2(s) = 2 levels demote, to
+    # s = 3h + 1 with h = 2**(cap - 2), and a = (s + d)/3, b = (2s - d)/3
+    h = 2 ** (cap - 2)
+    assert got == K0Element(cap - 2, h + 2, 2 * h - 1)
+    # one level more would build an int of as many bits, so it is refused
+    with pytest.raises(ResourceLimitError,
+                       match=f"^level gap {cap + 1} exceeds MAX_EVALUATE_LEVEL = {cap}$"):
+        ktheory.k0_add(K0Element(cap + 1, 3, 1), K0Element(0, 1, 2))
 
 
 @given(elements, elements)
@@ -164,8 +169,8 @@ def test_evaluate_level_cap():
     assert ktheory.evaluate(K0Element(cap, 1, 1)) == Fraction(1, 3 * 2 ** cap)
     with pytest.raises(ResourceLimitError, match=f"level {cap + 1} exceeds {cap}"):
         ktheory.evaluate(K0Element(cap + 1, 1, 1))
-    # the group operations stay uncapped
-    far = ktheory.k0_add(K0Element(0, 1, 0), K0Element(cap + 1, 0, 1))
+    # the group operations take any level; k0_add caps only the level gap
+    far = ktheory.k0_add(K0Element(1, 1, 0), K0Element(cap + 1, 0, 1))
     assert far.level == cap + 1
 
 

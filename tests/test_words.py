@@ -1,4 +1,6 @@
 import itertools
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -237,6 +239,30 @@ def test_is_factor_cache_is_bounded():
     for x in range(bound + 100):
         assert words.is_factor(words.tm_slice(x, x + 100 + x % 200))
     assert cache.cache_info().currsize <= bound
+
+
+def test_a_descent_memo_entry_holds_its_key_and_no_lifted_word():
+    size, count = words.MAX_CACHED_LENGTH, 256
+    # windows of one far reference string at distinct offsets mod 2**8, so
+    # no two share a descent and no other memo holds one
+    text = letters((1 << 50) + 5, (1 << 50) + 5 + 3 * count + size)
+    words.is_factor(text[1:size + 1])  # fills the block table untraced
+    words._short_descent.cache_clear()
+    tracemalloc.start()
+    try:
+        windows = [text[3 * k:3 * k + size] for k in range(count)]
+        assert all(map(words.is_factor, windows))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert words._short_descent.cache_info().currsize == count
+    # beside its key and the key's slot in `windows`, an entry holds the
+    # descent and signature pairs, at most 21 offsets, a block word of at
+    # most six letters, and the lru_cache link with its dict slot (16 words
+    # at most)
+    entry = (2 * sys.getsizeof((0, 0)) + sys.getsizeof(tuple(range(21)))
+             + 21 * sys.getsizeof(size) + sys.getsizeof("0" * 6) + 16 * 8)
+    assert held <= sum(map(sys.getsizeof, windows)) + count * (entry + 8)
 
 
 def test_word_length_cap():
