@@ -3,10 +3,11 @@
 Each check re-derives an exact identity at desk scale and returns a
 (name, ok, detail) triple.  Quick mode shrinks the bounds; full mode
 runs the documented sizes.  As a CLI process on a shared 2-core x86
-host under Python 3.11, `verify --quick` took 0.09-0.14 s (median
-0.11 s) and `verify --full` 0.20-0.28 s (median 0.23 s) over ten runs
-each, most of it the exhaustive decomposition loop of
-`check_combinatorics`.
+host under Python 3.11, `verify --quick` took 0.10-0.14 s (median
+0.12 s) and `verify --full` 0.17-0.28 s (median 0.21 s) over ten runs
+each, interpreter start-up included; the nine checks of `--full` took
+0.10-0.14 s in process, three quarters of it the exhaustive
+decomposition loop of `check_combinatorics`.
 """
 
 from fractions import Fraction
@@ -123,12 +124,13 @@ def check_ergodic_oracle(quick: bool) -> dict:
 def _level_masks(text: str, n: int) -> tuple:
     """Bitsets over the starts s = 0..len(text) of the level-n pieces of text.
 
-    Bit s of `full` is set where text[s:s + 2**n] is a level-n block, bit
-    s of `suffixes[g]` where text[s:s + g] is the last g letters of one,
-    and bit s of `prefixes[h]` where text[s:s + h] is the first h letters
-    of one (g, h < 2**n; the empty piece matches at every start).  Each
-    mask grows by one letter from the last: AND with the shifted letter
-    bitset of text, for both blocks at once.
+    Bit s of `runs[k]` is set where text[s:s + k 2**n] is k level-n
+    blocks, bit s of `suffixes[g]` where text[s:s + g] is the last g
+    letters of one, and bit s of `prefixes[h]` where text[s:s + h] is the
+    first h letters of one (g, h < 2**n; the empty piece matches at every
+    start).  Each piece mask grows by one letter from the last: AND with
+    the shifted letter bitset of text, for both blocks at once; each run
+    mask by one block, runs[k] = runs[k - 1] & full >> (k - 1) 2**n.
     """
     size = 1 << n
     letters = int(text[::-1] or "0", 2)  # bit p is [text[p] == "1"]
@@ -143,7 +145,11 @@ def _level_masks(text: str, n: int) -> tuple:
             suf[j] = letter[bl[j][size - g] == "1"] & suf[j] >> 1
         prefixes.append(pre[0] | pre[1])
         suffixes.append(suf[0] | suf[1])
-    return prefixes.pop(), suffixes, prefixes
+    full = prefixes.pop()
+    runs = [ones]
+    for k in range(1, (len(text) >> n) + 1):
+        runs.append(runs[-1] & full >> (k - 1 << n))
+    return runs, suffixes, prefixes
 
 
 def _split_table(text: str, length: int, n: int, starts: int) -> dict:
@@ -156,14 +162,12 @@ def _split_table(text: str, length: int, n: int, starts: int) -> dict:
     `_level_masks` shifted to where each piece sits.  Nothing here reads
     the lift chain, so the table is an independent check of `decompose`.
     """
-    full, suffixes, prefixes = _level_masks(text, n)
+    runs, suffixes, prefixes = _level_masks(text, n)
     size = 1 << n
     table = {}
     for g0 in range(min(size, length - 2 * size + 1)):
         k, h = divmod(length - g0, size)
-        hits = starts & suffixes[g0] & prefixes[h] >> length - h
-        for j in range(k):
-            hits &= full >> g0 + j * size
+        hits = starts & suffixes[g0] & prefixes[h] >> length - h & runs[k] >> g0
         while hits:
             low = hits & -hits
             table.setdefault(low.bit_length() - 1, []).append((g0, k))
@@ -229,8 +233,10 @@ def check_combinatorics(quick: bool) -> dict:
                     return _result("combinatorics", False, f"round trip fails at {w}")
                 if n not in tables:
                     tables[n] = _split_table(text, L, n, starts)
-                splits = _read_splits(w, n, tables[n].get(first[w], ()))
-                if splits != [(dn.gamma0, dn.blocks, dn.gamma1)]:
+                # after the round trip, |gamma0| and the block count fix dn
+                found = tables[n].get(first[w], ())
+                if found != [(len(dn.gamma0), len(dn.blocks))]:
+                    splits = _read_splits(w, n, found)
                     return _result("combinatorics", False,
                                    f"uniqueness fails at {w} level {n}: {splits}")
 

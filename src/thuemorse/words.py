@@ -3,12 +3,15 @@
 The sequence is the fixed point of the substitution 0 -> 01, 1 -> 10
 starting from 0, extended to negative indices by the mirror rule
 w[-i] = w[i-1].  Words are plain strings over the alphabet "01".
-Factor membership is decided exactly by one de-substitution per level
-(`_descent`), on the grid that any 00 or 11 fixes; the same descent
-yields the block decompositions and the signature that trace and K0
-class read (`blocks`).  A word is validated (`_check_word`) where it is
-descended: a short word once, when its descent is first memoised, so a
-repeated query pays one lookup and no O(|w|) re-check.
+Factor membership is decided exactly by one descent (`_descent`), which
+also yields the block decompositions and the signature that trace and
+K0 class read (`blocks`).  A word of at most MAX_LOCATED_LENGTH = 64
+letters is located by one search in sigma^m(00110), a text of at most
+320 letters that holds every factor of its length; a longer one is
+de-substituted once per level, on the grid that any 00 or 11 fixes.  A
+word is validated (`_check_word`) where it is descended: a short word
+once, when its descent is first memoised, so a repeated query pays one
+lookup and no O(|w|) re-check.
 
 No prefix of the sequence is held.  The aligned level-k block j of the
 sequence, w[j 2**k] ... w[(j + 1) 2**k - 1], is block(w[j], k) (the
@@ -235,13 +238,36 @@ def transform(w: str, kind: str) -> str:
     raise ValueError(f"kind must be 'reverse' or 'complement', got {kind!r}")
 
 
+# Words of at most this many letters are located in a text (`_locate`).
+MAX_LOCATED_LENGTH = 64
+# sigma^m(00110) = B0 B0 B1 B1 B0, (B0, B1) = _pair(m), for the levels m of
+# the words `_locate` takes, filled on first use like `_short_blocks`: at
+# most 5 * 127 letters.
+_texts = [None] * ((MAX_LOCATED_LENGTH - 2).bit_length() + 1)
+
+
+def _text(m: int) -> str:
+    """sigma^m(00110), where every factor of at most 2**m + 1 letters occurs."""
+    t = _texts[m]
+    if t is None:
+        b0, b1 = _pair(m)
+        t = _texts[m] = b0 + b0 + b1 + b1 + b0
+    return t
+
+
 # All factors of length <= 8 (validated against a 2**16 scan in the tests).
 _BASE_LENGTH = 8
 
 
 @lru_cache(maxsize=1)
 def _base_factors() -> frozenset:
-    return frozenset(_factors_upto(_BASE_LENGTH))
+    t = _text(3)  # the 40 letters that hold every factor of at most 9
+    return frozenset(t[i:i + L] for L in range(1, _BASE_LENGTH + 1)
+                     for i in range(len(t) - L + 1))
+
+
+# built at import, so that no request pays for it
+_base_factors()
 
 
 def lift(s: str, phase: int):
@@ -322,15 +348,28 @@ def _descent(w: str):
 
     offsets[k - 1] is w's level-k grid offset off: the level-k block
     letters are the stride slice w[off:end:2**k], end = off + ((|w| -
-    off) >> k << k), and w[:off] and w[end:] are the partial blocks.  A
-    00 or 11 at index i straddles a grid boundary, so it fixes the phase
-    (i + 1) mod 2; a block string with neither is lifted on phase 0.  The
-    letters are lifted once per level while the grid leaves two full
-    blocks, and only the offsets are kept; at the top the owners of the
-    partial ends complete them to the signature's block word.  That top
-    check alone decides membership: w is a subword of the completed
-    word's expansion, and a factor lifts on its own grid, so w is a
-    factor exactly when the completed word is.
+    off) >> k << k), and w[:off] and w[end:] are the partial blocks.
+    There are offsets while the grid leaves two full blocks.  Two routes
+    give the same answer:
+
+    - A word of at most MAX_LOCATED_LENGTH letters is found in
+      `_text(m)` = sigma^m(00110), 2**m + 1 >= |w| (`_locate`).  A
+      window of 2**m + 1 letters meets at most two aligned level-m
+      blocks, and 00110 holds all four pairs of them, so w is a factor
+      exactly when it occurs there.  The text sits on the sequence's
+      level-m grid, and each grid below it is forced for a factor: by a
+      00 or 11, or, for a block string 0101 or 1010, because the odd
+      grid would need 10101 or 01010.  So any occurrence q gives the
+      offsets, -q mod 2**k, and the signature, the first letters of the
+      level-n blocks of the text that w meets.  Nothing is lifted.
+    - A longer word is lifted once per level.  A 00 or 11 at index i
+      straddles a grid boundary, so it fixes the phase (i + 1) mod 2; a
+      block string with neither is lifted on phase 0.  Only the offsets
+      are kept; at the top the owners of the partial ends complete them
+      to the signature's block word.  That top check alone decides
+      membership: w is a subword of the completed word's expansion, and
+      a factor lifts on its own grid, so w is a factor exactly when the
+      completed word is.
 
     `_descend` validates w (`_check_word`) before it lifts.  An exact str
     of at most MAX_CACHED_LENGTH letters goes through the memo, which
@@ -345,6 +384,8 @@ def _descent(w: str):
 
 def _descend(w: str):
     _check_word(w)
+    if len(w) <= MAX_LOCATED_LENGTH:
+        return _locate(w)
     offsets = []
     c, off = w, 0
     while True:
@@ -364,6 +405,22 @@ def _descend(w: str):
     if top is None or top not in _base_factors():
         return None
     return tuple(offsets), (n, top)
+
+
+def _locate(w: str):
+    """`_descend` for a checked word of at most MAX_LOCATED_LENGTH letters,
+    read off its first occurrence q in `_text(m)` (see `_descent`)."""
+    t = _text(max(len(w) - 2, 0).bit_length())
+    q = t.find(w)
+    if q < 0:
+        return None
+    # the level-k offset -q mod 2**k, while it leaves two full blocks
+    offsets, k = [], 1
+    while len(w) - (-q & ((1 << k) - 1)) >= 2 << k:
+        offsets.append(-q & ((1 << k) - 1))
+        k += 1
+    n = len(offsets)
+    return tuple(offsets), (n, t[q >> n << n:((q + len(w) - 1) >> n) + 1 << n:1 << n])
 
 
 # 20k mixed queries on words of <= 64 letters descend 1.8k-1.9k distinct

@@ -94,28 +94,42 @@ far_offsets = st.builds(lambda e, j: (1 << e) + j if j & 1 else -(1 << e) - j,
                         st.integers(min_value=0, max_value=1 << 20))
 
 
-@given(far_offsets,
-       st.integers(min_value=9, max_value=3000),
-       st.sampled_from(["factor", "flip", "delete", "overlap"]),
-       st.integers(min_value=0, max_value=1 << 30),
-       st.integers(min_value=0, max_value=1 << 30))
-@settings(max_examples=150, deadline=None)
-def test_descent_matches_the_reference_routes_on_mutated_far_factors(start, length, kind, r, s):
+def _mutated_far_factor(start, length, kind, r, s) -> str:
     w = letters(start, start + length)
     pos = r % length
     if kind == "flip":
         w = w[:pos] + words.complement(w[pos]) + w[pos + 1:]
-    elif kind == "delete":
+    elif kind == "delete" and length > 1:
         w = w[:pos] + w[pos + 1:]
     elif kind == "overlap":
         # a block overlap B B B[0] written over part of the factor: the
-        # sequence is overlap-free, so the word is not a factor
-        b = words.block(s & 1, (s >> 1) % ((length - 1) // 2).bit_length())
+        # sequence is overlap-free, so the word is not a factor; below
+        # three letters the overlap aaa is the whole word
+        b = words.block(s & 1, (s >> 1) % max(((length - 1) // 2).bit_length(), 1))
         o = b + b + b[0]
-        at = pos % (length - len(o) + 1)
+        at = pos % max(length - len(o) + 1, 1)
         w = w[:at] + o + w[at + len(o):]
         assert words._descent(w) is None
-    _assert_matches_reference(w)
+    return w
+
+
+mutations = st.sampled_from(["factor", "flip", "delete", "overlap"])
+seeds = st.integers(min_value=0, max_value=1 << 30)
+
+
+@given(far_offsets, st.integers(min_value=9, max_value=3000), mutations, seeds, seeds)
+@settings(max_examples=150, deadline=None)
+def test_descent_matches_the_reference_routes_on_mutated_far_factors(start, length, kind, r, s):
+    _assert_matches_reference(_mutated_far_factor(start, length, kind, r, s))
+
+
+@given(far_offsets, st.integers(min_value=1, max_value=words.MAX_LOCATED_LENGTH), mutations,
+       seeds, seeds)
+@settings(max_examples=300, deadline=None)
+def test_a_located_descent_matches_the_reference_routes_on_mutated_far_factors(
+        start, length, kind, r, s):
+    # words of at most MAX_LOCATED_LENGTH letters, which `_locate` finds in a text
+    _assert_matches_reference(_mutated_far_factor(start, length, kind, r, s))
 
 
 def test_a_doubled_letter_fixes_the_grid():
@@ -156,6 +170,21 @@ def test_a_fresh_factor_is_lifted_once(count_calls):
         lifted.clear()
         assert not words.is_factor(bad)
         assert sum(map(len, lifted)) < 2 * len(bad)
+
+
+def test_a_located_word_is_never_lifted(count_calls):
+    lifted = count_calls(words, "lift")
+    completed = count_calls(words, "_complete")
+    start = (1 << 45) + 3333  # a nonzero offset at every level
+    for L in range(1, words.MAX_LOCATED_LENGTH + 1):
+        w = letters(start, start + L)
+        assert words._descend(w) is not None
+        assert L < 3 or words._descend(w[:-3] + "000") is None
+    assert lifted == completed == []
+    # one letter more takes the lift loop, fewer than 2 |w| letters lifted
+    w = letters(start, start + words.MAX_LOCATED_LENGTH + 1)
+    assert words._descend(w) is not None
+    assert 0 < sum(map(len, lifted)) < 2 * len(w)
 
 
 def test_an_uncached_factor_is_lifted_once_per_public_call(count_calls):

@@ -356,6 +356,19 @@ def test_base_factor_window_is_safe(oracle_factors):
     assert words._base_factors() == {w for L in range(1, 9) for w in oracle_factors(L)}
 
 
+def test_each_text_holds_exactly_the_factors_of_its_length(oracle_factors):
+    # sigma^m(00110), where `_locate` finds a word of at most 2**m + 1 letters
+    expected = {}
+    for m in range(len(words._texts)):
+        t = words._text(m)
+        assert len(t) == 5 << m
+        for L in range(1, (1 << m) + 2):
+            if L not in expected:
+                expected[L] = oracle_factors(L)
+            assert {t[i:i + L] for i in range(len(t) - L + 1)} == expected[L], (m, L)
+    assert (words.MAX_LOCATED_LENGTH - 2).bit_length() == m
+
+
 def test_prefix_count_matches_letter_by_letter_scan(oracle_prefix):
     # every factor of <= 6 letters, and the first non-factor of each length
     # from 3 on (every word of one or two letters is a factor)
