@@ -27,14 +27,59 @@ The signature (n, c) of a factor, the second item of its descent, is
 its top level n and the block word c of 2..6 letters that completes
 its top-level blocks, with no BlockDecomposition built, or (0, w)
 without a level-1 grid.  Trace and K0 class are functions of it alone.
+`_owner` names the letter whose block a partial block ends or begins,
+for the constructor's checks and `complete_boundaries`; the descent
+reads its top letters off the word and needs no owner.
 """
 
 from functools import lru_cache
 
 from ._value import value_base
 from .errors import InvariantError, LevelError, NotAFactorError
-from .words import (MAX_CACHED_LENGTH, _bits, _check_int, _complete, _factor_descent, _from_bits,
-                    _is_binary, _owner, _pair, is_factor)
+from .words import (MAX_CACHED_LENGTH, _SHORT_LEVEL, _bits, _check_int, _factor_descent, _from_bits,
+                    _is_binary, _pair, _right_window, _short_blocks, is_factor)
+
+
+def _owner(gamma: str, level: int, suffix: bool):
+    """The letter j whose level-n block starts with gamma (ends with it when
+    `suffix`), or None; gamma is nonempty and shorter than a block.
+
+    The length-g prefix of block(j, n) is that of block(j, k) for 2**k >= g,
+    and its suffix reversed is the prefix of block(j + n mod 2, k).  So two
+    prefix matches against `_pair(k)`, or against the first g letters of
+    each level-k block above MAX_CACHED_LENGTH letters, replace building
+    both level-n blocks.
+    """
+    flip = 0
+    if suffix:
+        gamma, flip = gamma[::-1], level & 1
+    g = len(gamma)
+    k = (g - 1).bit_length()
+    if k <= _SHORT_LEVEL:
+        b0, b1 = _short_blocks[k] or _pair(k)  # no call once the level is filled
+        if b0.startswith(gamma):
+            return flip
+        if b1.startswith(gamma):
+            return 1 - flip
+        return None
+    # above MAX_CACHED_LENGTH letters, the first g letters of each block,
+    # the second built only after the first is dropped
+    for j in (0, 1):
+        if _right_window(j << k, g) == gamma:
+            return j ^ flip
+    return None
+
+
+def _complete(gamma0: str, c: str, gamma1: str, level: int):
+    """c extended by the owner letter of each nonempty partial block
+    (gamma0 ends its block, gamma1 begins it); None if one has no owner."""
+    for gamma, suffix in ((gamma0, True), (gamma1, False)):
+        if gamma:
+            j = _owner(gamma, level, suffix)
+            if j is None:
+                return None
+            c = "01"[j] + c if suffix else c + "01"[j]
+    return c
 
 
 class BlockDecomposition(value_base("level gamma0 blocks gamma1")):

@@ -13,7 +13,7 @@ u = gamma0 . c' . gamma1 with c' the full level-n blocks and c the
 block word c' completed by the owner letters of the partial ones.
 
   Every occurrence of u is aligned with its level-n split.  A level of
-  the descent lifts a block string of at least four letters: one with a
+  the descent groups a block string of at least four letters: one with a
   00 or 11 has that pair straddle a grid boundary wherever it occurs,
   and 0101 and 1010 occur only on the even grid (the odd one would
   need 111 or 000 one level up).  So by induction on the levels, each

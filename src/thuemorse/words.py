@@ -5,13 +5,11 @@ starting from 0, extended to negative indices by the mirror rule
 w[-i] = w[i-1].  Words are plain strings over the alphabet "01".
 Factor membership is decided exactly by one descent (`_descent`), which
 also yields the block decompositions and the signature that trace and
-K0 class read (`blocks`).  A word of at most MAX_LOCATED_LENGTH = 64
-letters is located by one search in sigma^m(00110), a text of at most
-320 letters that holds every factor of its length; a longer one is
-de-substituted once per level, on the grid that any 00 or 11 fixes.  A
-word is validated (`_check_word`) where it is descended: a short word
-once, when its descent is first memoised, so a repeated query pays one
-lookup and no O(|w|) re-check.
+K0 class read (`blocks`): a word is read off its occurrence in
+sigma^m(00110), a text of at most 320 letters, whole or by 64-letter
+chunks.  A word is validated (`_check_word`) where it is descended: a
+short word once, when its descent is first memoised, so a repeated query
+pays one lookup and no O(|w|) re-check.
 
 No prefix of the sequence is held.  The aligned level-k block j of the
 sequence, w[j 2**k] ... w[(j + 1) 2**k - 1], is block(w[j], k) (the
@@ -240,9 +238,8 @@ def transform(w: str, kind: str) -> str:
 
 # Words of at most this many letters are located in a text (`_locate`).
 MAX_LOCATED_LENGTH = 64
-# sigma^m(00110) = B0 B0 B1 B1 B0, (B0, B1) = _pair(m), for the levels m of
-# the words `_locate` takes, filled on first use like `_short_blocks`: at
-# most 5 * 127 letters.
+# sigma^m(00110) = B0 B0 B1 B1 B0, (B0, B1) = _pair(m), for m <= 6, filled
+# on first use like `_short_blocks`: at most 5 * 127 letters.
 _texts = [None] * ((MAX_LOCATED_LENGTH - 2).bit_length() + 1)
 
 
@@ -264,10 +261,6 @@ def _base_factors() -> frozenset:
     t = _text(3)  # the 40 letters that hold every factor of at most 9
     return frozenset(t[i:i + L] for L in range(1, _BASE_LENGTH + 1)
                      for i in range(len(t) - L + 1))
-
-
-# built at import, so that no request pays for it
-_base_factors()
 
 
 def lift(s: str, phase: int):
@@ -301,81 +294,40 @@ def _parent_word(w: str, phase: int):
     return head + body + tail
 
 
-def _owner(gamma: str, level: int, suffix: bool):
-    """The letter j whose level-n block starts with gamma (ends with it when
-    `suffix`), or None; gamma is nonempty and shorter than a block.
-
-    The length-g prefix of block(j, n) is that of block(j, k) for 2**k >= g,
-    and its suffix reversed is the prefix of block(j + n mod 2, k).  So two
-    prefix matches against `_pair(k)`, or against the first g letters of
-    each level-k block above MAX_CACHED_LENGTH letters, replace building
-    both level-n blocks.
-    """
-    flip = 0
-    if suffix:
-        gamma, flip = gamma[::-1], level & 1
-    g = len(gamma)
-    k = (g - 1).bit_length()
-    if k <= _SHORT_LEVEL:
-        b0, b1 = _short_blocks[k] or _pair(k)  # no call once the level is filled
-        if b0.startswith(gamma):
-            return flip
-        if b1.startswith(gamma):
-            return 1 - flip
-        return None
-    # above MAX_CACHED_LENGTH letters, the first g letters of each block,
-    # the second built only after the first is dropped
-    for j in (0, 1):
-        if _right_window(j << k, g) == gamma:
-            return j ^ flip
-    return None
-
-
-def _complete(gamma0: str, c: str, gamma1: str, level: int):
-    """c extended by the owner letter of each nonempty partial block
-    (gamma0 ends its block, gamma1 begins it); None if one has no owner."""
-    for gamma, suffix in ((gamma0, True), (gamma1, False)):
-        if gamma:
-            j = _owner(gamma, level, suffix)
-            if j is None:
-                return None
-            c = "01"[j] + c if suffix else c + "01"[j]
-    return c
-
-
 def _descent(w: str):
     """(offsets, (n, c)) for a factor w, None for a non-factor.
 
     offsets[k - 1] is w's level-k grid offset off: the level-k block
     letters are the stride slice w[off:end:2**k], end = off + ((|w| -
     off) >> k << k), and w[:off] and w[end:] are the partial blocks.
-    There are offsets while the grid leaves two full blocks.  Two routes
-    give the same answer:
+    There are offsets while |w| - off >= 2**(k + 1), two full blocks.
+    Each grid a factor reaches is forced: by a 00 or 11, or, for a block
+    string 0101 or 1010, because the odd grid would need 10101 or 01010.
+    So an occurrence q of w on the sequence's level-m grid gives the
+    offsets as -q mod 2**k, and no level is lifted.  Two routes find it:
 
     - A word of at most MAX_LOCATED_LENGTH letters is found in
       `_text(m)` = sigma^m(00110), 2**m + 1 >= |w| (`_locate`).  A
       window of 2**m + 1 letters meets at most two aligned level-m
       blocks, and 00110 holds all four pairs of them, so w is a factor
-      exactly when it occurs there.  The text sits on the sequence's
-      level-m grid, and each grid below it is forced for a factor: by a
-      00 or 11, or, for a block string 0101 or 1010, because the odd
-      grid would need 10101 or 01010.  So any occurrence q gives the
-      offsets, -q mod 2**k, and the signature, the first letters of the
-      level-n blocks of the text that w meets.  Nothing is lifted.
-    - A longer word is lifted once per level.  A 00 or 11 at index i
-      straddles a grid boundary, so it fixes the phase (i + 1) mod 2; a
-      block string with neither is lifted on phase 0.  Only the offsets
-      are kept; at the top the owners of the partial ends complete them
-      to the signature's block word.  That top check alone decides
-      membership: w is a subword of the completed word's expansion, and
-      a factor lifts on its own grid, so w is a factor exactly when the
-      completed word is.
+      exactly when it occurs there.  The signature is the first letters
+      of the level-n blocks of the text that w meets.
+    - A longer word is located by 64-letter chunks (`_descend_long`).
+      The first 64 letters of its block string c, found in `_text(6)`,
+      fix c's next four grids, since a 64-letter factor reaches level 4
+      (64 - 15 >= 32); c steps to its level-4 block letters while it has
+      more than MAX_LOCATED_LENGTH letters, and the last c is located.
+      c's stop rule is w's own at the same level.  The top block word is
+      read off w, since block(x, n) starts with x and ends with x + n
+      mod 2, and its occurrence in `_text(3)`, the sequence's letters
+      40..79, places w in the sequence.  For a factor every guess is its
+      own grid, so w is a factor exactly when it equals the sequence's
+      window there: that one compare is the whole membership test.
 
-    `_descend` validates w (`_check_word`) before it lifts.  An exact str
-    of at most MAX_CACHED_LENGTH letters goes through the memo, which
-    stores no call that raises, so every key is a checked word and a
-    repeated word is checked once; any other input is checked on every
-    call.
+    `_descend` validates w (`_check_word`) first.  An exact str of at
+    most MAX_CACHED_LENGTH letters goes through the memo, which stores
+    no call that raises, so every key is a checked word and a repeated
+    word is checked once; any other input is checked on every call.
     """
     if type(w) is str and len(w) <= MAX_CACHED_LENGTH:
         return _short_descent(w)
@@ -384,27 +336,9 @@ def _descent(w: str):
 
 def _descend(w: str):
     _check_word(w)
-    if len(w) <= MAX_LOCATED_LENGTH:
+    if len(w) <= MAX_LOCATED_LENGTH:  # read at call time
         return _locate(w)
-    offsets = []
-    c, off = w, 0
-    while True:
-        i = c.find("00")
-        if i < 0:
-            i = c.find("11")
-        phase = (i + 1) & 1
-        if len(c) - phase < 4:
-            break
-        c = lift(c, phase)
-        if c is None:
-            return None
-        off += phase << len(offsets)
-        offsets.append(off)
-    n = len(offsets)
-    top = _complete(w[:off], c, w[off + (len(c) << n):], n)
-    if top is None or top not in _base_factors():
-        return None
-    return tuple(offsets), (n, top)
+    return _descend_long(w)
 
 
 def _locate(w: str):
@@ -421,6 +355,34 @@ def _locate(w: str):
         k += 1
     n = len(offsets)
     return tuple(offsets), (n, t[q >> n << n:((q + len(w) - 1) >> n) + 1 << n:1 << n])
+
+
+def _descend_long(w: str):
+    """`_descend` for a checked word above MAX_LOCATED_LENGTH (`_descent`)."""
+    c, j, off = w, 0, 0  # c is w's level-j block string, from w's letter off
+    while len(c) > MAX_LOCATED_LENGTH:
+        q = _text(6).find(c[:64])
+        if q < 0:
+            return None
+        r = -q & 15
+        c = c[r:r + ((len(c) - r) >> 4 << 4):16]
+        off += r << j
+        j += 4
+    q = _text(max(len(c) - 2, 0).bit_length()).find(c)
+    if q < 0:
+        return None
+    k = 1  # c's levels by `_locate`'s rule, without the offsets it builds
+    while len(c) - (-q & ((1 << k) - 1)) >= 2 << k:
+        k += 1
+    n = j + k - 1
+    off += (-q & ((1 << (k - 1)) - 1)) << j  # w's level-n offset
+    # the stride slice ends on the first letter of any right partial block
+    top = ("01"[int(w[off - 1]) ^ (n & 1)] if off else "") + w[off::1 << n]
+    # the level-n blocks 40 + p.. of the sequence spell top (see `_descent`)
+    p = _text(3).find(top)
+    if p < 0 or _right_window((40 + p << n) + (-off & ((1 << n) - 1)), len(w)) != w:
+        return None
+    return tuple([off & ((2 << i) - 1) for i in range(n)]), (n, top)
 
 
 # 20k mixed queries on words of <= 64 letters descend 1.8k-1.9k distinct

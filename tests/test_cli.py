@@ -198,10 +198,11 @@ def test_invariant_failure_is_one_json_line_exit_three(capsys, monkeypatch):
 def test_completion_guards_raise_invariant_errors(capsys, monkeypatch):
     start = (1 << 38) + 777  # a word no other test builds, with both ends partial
     w = letters(start, start + 100)
-    # the descent completes the top level to decide membership, so a
-    # partial block without an owner makes the word a non-factor
+    # the descent decides membership by one compare with the sequence's
+    # window at the guessed place, so a window that differs makes the word
+    # a non-factor
     with monkeypatch.context() as m:
-        m.setattr(words, "_owner", lambda gamma, level, suffix: None)
+        m.setattr(words, "_right_window", lambda lo, n: "")
         code, payload = run_json(capsys, ["trace", w])
         words._short_descent.cache_clear()
     assert code == 1 and list(payload) == ["error"]
@@ -209,7 +210,7 @@ def test_completion_guards_raise_invariant_errors(capsys, monkeypatch):
     assert d.gamma0 and d.gamma1
     # a public decomposition whose completion fails is an invariant error
     with monkeypatch.context() as m:
-        m.setattr(words, "_owner", lambda gamma, level, suffix: None)
+        m.setattr(blocks, "_owner", lambda gamma, level, suffix: None)
         with pytest.raises(InvariantError, match="completes no level"):
             blocks.complete_boundaries(d)
     _, c = words._factor_descent(w)[1]
@@ -253,6 +254,13 @@ def test_queries_load_neither_numpy_nor_scipy():
     assert set(star) >= set(thuemorse.__all__)
     assert star["axiom_residuals"] is thuemorse.repwindow.axiom_residuals
     assert star["run_suite"] is thuemorse.verify.run_suite
+
+
+def test_the_package_runs_as_a_module():
+    # python -m thuemorse is python -m thuemorse.cli: same stdout, same exit
+    runs = [subprocess.run([sys.executable, "-m", module, "factor", "0110"],
+                           capture_output=True, text=True) for module in ("thuemorse", "thuemorse.cli")]
+    assert [(r.stdout, r.returncode) for r in runs] == [('{"word": "0110", "is_factor": true}\n', 0)] * 2
 
 
 def test_entry_point_subprocess():

@@ -6,18 +6,19 @@ chain that tried both grids at every level; the signature completes the
 chain's top by brute force, each partial block matched against both
 blocks of its level.  The descent must give the same membership, level
 offsets and signature on every word, and each level's stride slice must
-be the chain's lifted word.  The overlap lemma backs the top check,
-which alone decides membership: a block string of five or more letters
-that lifts on both grids holds 01010 or 10101, so a factor's has a 00 or
-11 that fixes its own grid.  The counting gates bound the letters that
-`words.lift` reads by the algorithm: the level-k block string has at
-most |w| / 2**k letters, so one descent reads fewer than 2 |w|.
+be the chain's lifted word.  The overlap lemma backs the guessed grids:
+a block string of five or more letters that lifts on both grids holds
+01010 or 10101, so a factor's has a 00 or 11 that fixes its own grid,
+and the final compare alone decides membership.  The counting gates
+bound the letters that `words.lift` reads by a lift chain's count, at
+most |w| / 2**k at level k; the located descent reads none.
 """
 
 import itertools
+import random
 from functools import lru_cache
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thuemorse import blocks, extensions, ktheory, trace, words
@@ -119,6 +120,16 @@ seeds = st.integers(min_value=0, max_value=1 << 30)
 
 @given(far_offsets, st.integers(min_value=9, max_value=3000), mutations, seeds, seeds)
 @settings(max_examples=150, deadline=None)
+# the last letter flipped, which only the final compare reads; beyond the
+# memo's cut; and with top level 13 or more, where the compare joins
+# level-12 blocks
+@example((1 << 50) + 77, 100, "flip", 99, 0)
+@example((1 << 50) + 77, 5000, "flip", 4999, 0)
+@example((1 << 50) + 77, 4097, "factor", 0, 0)
+@example(-(1 << 45) - 3333, 5000, "flip", 2999, 0)
+@example((1 << 50) + 77, 30000, "factor", 0, 0)
+@example((1 << 33) + 77, 24576, "overlap", 12345, 25)
+@example(-(1 << 40) - 1, 24577, "delete", 20000, 0)
 def test_descent_matches_the_reference_routes_on_mutated_far_factors(start, length, kind, r, s):
     _assert_matches_reference(_mutated_far_factor(start, length, kind, r, s))
 
@@ -130,6 +141,30 @@ def test_a_located_descent_matches_the_reference_routes_on_mutated_far_factors(
         start, length, kind, r, s):
     # words of at most MAX_LOCATED_LENGTH letters, which `_locate` finds in a text
     _assert_matches_reference(_mutated_far_factor(start, length, kind, r, s))
+
+
+def test_the_located_cut_moved_down_gives_the_same_descents(monkeypatch):
+    # one seeded stream around the located cut and the memo's, at odd
+    # starts, so at a nonzero offset at every level, with a flip, a delete
+    # and an overlap of each length
+    rng = random.Random(20)
+    stream = []
+    for length in [*range(46, 67), 4095, 4096, 4097]:
+        for kind in ("factor", "factor", "flip", "delete", "overlap"):
+            start = (1 << rng.randrange(10, 61)) + 2 * rng.randrange(1 << 20) + 1
+            stream.append(_mutated_far_factor(start, length, kind, rng.randrange(1 << 30),
+                                              rng.randrange(1 << 30)))
+        # its first and its last letter flipped, which a route that drops
+        # an end letter would miss
+        w = stream[-5]
+        stream += [words.complement(w[0]) + w[1:], w[:-1] + words.complement(w[-1])]
+    expected = list(map(words._descend, stream))
+    # a chunk then has at least 48 letters and still reaches level 4 by the
+    # stop rule, as 47 - 15 >= 32, so words of 48-64 letters are located
+    # by chunks and a compare instead of one search
+    monkeypatch.setattr(words, "MAX_LOCATED_LENGTH", 47)
+    assert list(map(words._descend, stream)) == expected
+    assert sum(found is None for found in expected) >= len(stream) // 2
 
 
 def test_a_doubled_letter_fixes_the_grid():
@@ -161,11 +196,10 @@ def test_a_fresh_factor_is_lifted_once(count_calls):
     w = letters((1 << 47) + 919, (1 << 47) + 3919)  # a word no other test builds
     assert len(w) <= words.MAX_CACHED_LENGTH
     _pipeline(w)
-    # one descent for the six calls, and complete_boundaries checks the
-    # completed block word of at most six letters
+    # at most one lift chain's letters for the six calls, and the located
+    # descent lifts none
     assert sum(map(len, lifted)) <= 2 * len(w) + 2 * 6
-    # an alternating non-factor lifts |w| letters on phase 0, and its
-    # parent of one repeated letter stops the next lift
+    # nor does a rejected word, an alternating one included
     for bad in (w[:1000] + w[1000:1100] * 2 + w[1000] + w[1201:], "01" * 1500):
         lifted.clear()
         assert not words.is_factor(bad)
@@ -174,17 +208,21 @@ def test_a_fresh_factor_is_lifted_once(count_calls):
 
 def test_a_located_word_is_never_lifted(count_calls):
     lifted = count_calls(words, "lift")
-    completed = count_calls(words, "_complete")
+    completed = count_calls(blocks, "_complete")
+    chunked = count_calls(words, "_descend_long")
     start = (1 << 45) + 3333  # a nonzero offset at every level
     for L in range(1, words.MAX_LOCATED_LENGTH + 1):
         w = letters(start, start + L)
         assert words._descend(w) is not None
         assert L < 3 or words._descend(w[:-3] + "000") is None
-    assert lifted == completed == []
-    # one letter more takes the lift loop, fewer than 2 |w| letters lifted
-    w = letters(start, start + words.MAX_LOCATED_LENGTH + 1)
-    assert words._descend(w) is not None
-    assert 0 < sum(map(len, lifted)) < 2 * len(w)
+    assert chunked == []
+    # nor is a longer word, which is located by chunks: one letter over the
+    # cut, one over the memo's, and the longest word accepted
+    for L in (words.MAX_LOCATED_LENGTH + 1, words.MAX_CACHED_LENGTH + 1, words.MAX_WORD_LENGTH):
+        w = words.tm_slice(start, start + L)
+        assert words._descend(w) is not None
+        assert words._descend(w[:-3] + "000") is None
+    assert len(chunked) == 6 and lifted == completed == []
 
 
 def test_an_uncached_factor_is_lifted_once_per_public_call(count_calls):
