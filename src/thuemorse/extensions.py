@@ -5,40 +5,12 @@ letters and appending n letters.  For |w| >= 2 the two-sided one-letter
 extension count is always 1, 2 or 4; the single letters are the only
 words with count 3.
 
-The extension lemma reads the one-letter extensions of a factor u off
-its descent (`words._descent`), at every length.  Let (n, c) be u's
-signature and g0, g1 the lengths of its left and right partial blocks:
-g0 is the descent's top grid offset and g1 = (|u| - g0) mod 2**n.  So
-u = gamma0 . c' . gamma1 with c' the full level-n blocks and c the
-block word c' completed by the owner letters of the partial ones.
-
-  Every occurrence of u is aligned with its level-n split.  A level of
-  the descent groups a block string of at least four letters: one with a
-  00 or 11 has that pair straddle a grid boundary wherever it occurs,
-  and 0101 and 1010 occur only on the even grid (the odd one would
-  need 111 or 000 one level up).  So by induction on the levels, each
-  occurrence of u places c' on the sequence's own level-n blocks, and
-  each nonempty partial block inside the block of its owner letter,
-  which is unique, because the two level-n blocks are complements.
-  The sequence is the n-fold image of itself, so its level-n block
-  letters are the sequence again: the occurrences of u are exactly
-  those of c, and every occurrence of c holds one of u.  (This is
-  recognizability; B. Mosse, Theoret. Comput. Sci. 99, 1992.)
-
-Hence a + u + b is a factor exactly when a = block(l, n)[2**n - g0 - 1]
-and b = block(r, n)[g1] for a factor y + c + z of at most 8 letters
-(`words._base_factors`, read once into `_contexts`), where l is c[0]
-when g0 > 0 and y otherwise, and r is c[-1] when g1 > 0 and z
-otherwise; block(j, n)[i] is j xor the parity of i.  A side with a
-partial block has one forced letter; a free left letter is y xor
-(n mod 2).  When n = 0 (|u| <= 4), c is u and the rule reads the table
-directly.
-
-`extension_set(w, m, n)` takes min(m, n) two-sided steps and then the
-remaining one-sided ones, each reading the descent of every word it
-extends (past the descent memo for the words it builds); a one-sided
-step keeps the letters that some pair allows, because every factor
-extends on both sides.
+Every factor of at most 2**k + 1 letters occurs in t = sigma^k(00110)
+(`words._text`; the argument is in `words._descent`).  So, with L =
+|w| + m + n and the least such k, ext(w, m, n) is exactly the set of
+windows t[q - m : q + |w| + n] around the occurrences q of w in t that
+the window fits: each window is a factor, because t is one, and each
+extension, a factor of L letters, occurs in t with w at offset m.
 
 A call whose worst-case result is short is memoised the way
 `words._descent` is: the memo runs the whole checked body on a miss and
@@ -52,7 +24,7 @@ every other call runs the same body uncached.
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .words import MAX_CACHED_LENGTH, _base_factors, _check_int, _descend, _factor_descent
+from .words import MAX_CACHED_LENGTH, _check_int, _factor_descent, _text
 
 MAX_EXTENSION_LENGTH = 4096
 
@@ -60,8 +32,8 @@ MAX_EXTENSION_LENGTH = 4096
 def extension_set(w: str, m: int, n: int) -> list:
     """All factors b0 + w + b1 with |b0| = m and |b1| = n, sorted, as a new list.
 
-    Each step reads its words' extensions off their descents by the
-    extension lemma (see the module docstring).
+    Each is a window of one text around an occurrence of w (see the
+    module docstring).
     """
     # MAX_CACHED_LENGTH >> (m + n) rather than (...) << (m + n): a huge
     # m + n must not build a huge int
@@ -72,49 +44,21 @@ def extension_set(w: str, m: int, n: int) -> list:
 
 
 def _extend(w: str, m: int, n: int) -> list:
-    found = _factor_descent(w)
+    _factor_descent(w)
     m, n = _check_int(m, "m"), _check_int(n, "n")
     if m < 0 or n < 0:
         raise ValueError("extension lengths must be nonnegative")
     if m + n + len(w) > MAX_EXTENSION_LENGTH:
         raise ResourceLimitError(
             f"extended length {m + n + len(w)} exceeds {MAX_EXTENSION_LENGTH}")
-    both = min(m, n)
-    # a step keeps a[:left] and b[:right] of each pair (a, b); a set, since
-    # two pairs of a one-sided step can give one word
-    words = {w}
-    for left, right in [(1, 1)] * both + [(1, 0)] * (m - both) + [(0, 1)] * (n - both):
-        # the first step reads w's descent from the check above
-        words = {a[:left] + u + b[:right] for u in words
-                 for a, b in _letter_pairs(u, found if u is w else _descend(u))}
-    return sorted(words)
-
-
-def _letter_pairs(u: str, found: tuple) -> set:
-    """The pairs (a, b) of letters with a + u + b a factor, by the extension
-    lemma, from the descent `found` of the factor u."""
-    offsets, (n, c) = found
-    g0 = offsets[-1] if n else 0
-    g1 = (len(u) - g0) & ((1 << n) - 1)
-    # the letter left of u ends a block at index 2**n - g0 - 1, the letter
-    # right of it begins one at index g1: lefts[l] and rights[r] for the
-    # block letters l and r
-    lefts = "10" if ((1 << n) - g0 - 1).bit_count() & 1 else "01"
-    rights = "10" if g1.bit_count() & 1 else "01"
-    if g0:
-        lefts = lefts[int(c[0])] * 2
-    if g1:
-        rights = rights[int(c[-1])] * 2
-    return {(lefts[y], rights[z]) for y, z in _contexts()[c]}
-
-
-@lru_cache(maxsize=1)
-def _contexts() -> dict:
-    """Each factor c of at most 6 letters -> the pairs (y, z) of ints with
-    y + c + z a factor, read from `words._base_factors`."""
-    table = _base_factors()
-    return {c: tuple((y, z) for y in (0, 1) for z in (0, 1) if f"{y}{c}{z}" in table)
-            for c in table if len(c) <= 6}
+    L = len(w) + m + n
+    t = _text(max(L - 2, 0).bit_length())
+    # the occurrences of w in t[m:len(t) - n], where its window fits
+    found, q = set(), t.find(w, m, len(t) - n)
+    while q >= 0:
+        found.add(t[q - m:q - m + L])
+        q = t.find(w, q + 1, len(t) - n)
+    return sorted(found)
 
 
 # an entry holds its key word and at most MAX_CACHED_LENGTH result letters

@@ -2,12 +2,9 @@
 
 Each check re-derives an exact identity at desk scale and returns a
 (name, ok, detail) triple.  Quick mode shrinks the bounds; full mode
-runs the documented sizes.  As a CLI process on a shared 2-core x86
-host under Python 3.11, `verify --quick` took 0.10-0.14 s (median
-0.12 s) and `verify --full` 0.17-0.28 s (median 0.21 s) over ten runs
-each, interpreter start-up included; the nine checks of `--full` took
-0.10-0.14 s in process, three quarters of it the exhaustive
-decomposition loop of `check_combinatorics`.
+runs the documented sizes.  On a shared 2-core x86 host under Python
+3.11, the nine checks of `--full` took 0.09-0.11 s in process, four
+fifths of it the exhaustive decomposition loop of `check_combinatorics`.
 """
 
 from fractions import Fraction
@@ -185,12 +182,23 @@ def _read_splits(w: str, n: int, found) -> list:
 
 
 def check_combinatorics(quick: bool) -> dict:
-    """Extension counts, decomposition existence/uniqueness, follower
-    blocks, overlap-freeness."""
+    """Factor counts, extension counts, decomposition existence/uniqueness,
+    follower blocks, overlap-freeness."""
     count_len = 10 if quick else 14
     decomp_len = 24 if quick else 48
     follow_n = 2 if quick else 3
     overlap_len = 6 if quick else 8
+
+    # every factor set read below, by its count alone, since factors_of_length
+    # and the split tables read one text: the factor complexity (Brlek 1989;
+    # de Luca & Varricchio 1989), p(2n) = p(n) + p(n + 1), p(2n + 1) = 2 p(n + 1)
+    p = [1, 2, 4, 6]
+    for L in range(4, decomp_len + 1):
+        p.append(p[L // 2] + p[L // 2 + 1] if L % 2 == 0 else 2 * p[L // 2 + 1])
+    factor_sets = [[]] + [words.factors_of_length(L) for L in range(1, decomp_len + 1)]
+    for L, got in enumerate(factor_sets[1:], 1):
+        if len(got) != p[L]:
+            return _result("combinatorics", False, f"{len(got)} factors of length {L}, not {p[L]}")
 
     # two-sided extension counts with the exact exceptional families
     for L in range(2, count_len + 1):
@@ -211,11 +219,11 @@ def check_combinatorics(quick: bool) -> dict:
                            f"count-4 set at length {L}: {sorted(achieved)}")
 
     # canonical decomposition: existence with 2..4 blocks, uniqueness per
-    # level against one split table per (length, level) over the letters
-    # that factors_of_length scans, read at each factor's first start
-    text = words.tm_prefix(words._factor_window(decomp_len))
+    # level against one split table per (length, level) over one text that
+    # holds every factor read here, read at each factor's first start
+    text = words._text((decomp_len - 2).bit_length())
     for L in range(2, decomp_len + 1):
-        factors = words.factors_of_length(L)
+        factors = factor_sets[L]
         first = {w: text.find(w) for w in factors}
         starts = sum(1 << s for s in first.values())
         tables = {}

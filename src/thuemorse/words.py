@@ -7,9 +7,12 @@ Factor membership is decided exactly by one descent (`_descent`), which
 also yields the block decompositions and the signature that trace and
 K0 class read (`blocks`): a word is read off its occurrence in
 sigma^m(00110), a text of at most 320 letters, whole or by 64-letter
-chunks.  A word is validated (`_check_word`) where it is descended: a
-short word once, when its descent is first memoised, so a repeated query
-pays one lookup and no O(|w|) re-check.
+chunks.  The same texts are the one source of factor sets: the factors
+of L letters are the L-letter windows of sigma^k(00110) with 2**k + 1 >=
+L (`factors_of_length`), and so are extension sets (`extensions`).  A
+word is validated (`_check_word`) where it is descended: a short word
+once, when its descent is first memoised, so a repeated query pays one
+lookup and no O(|w|) re-check.
 
 No prefix of the sequence is held.  The aligned level-k block j of the
 sequence, w[j 2**k] ... w[(j + 1) 2**k - 1], is block(w[j], k) (the
@@ -44,11 +47,6 @@ MAX_WORD_LENGTH = 1 << 20
 # Memoised functions of a word skip words longer than this, so a cache of
 # N entries holds at most N * MAX_CACHED_LENGTH letters.
 MAX_CACHED_LENGTH = 4096
-
-
-def _factor_window(L: int) -> int:
-    # all p(L) factors of each L <= MAX_FACTOR_LENGTH: test_factors_of_length_counts
-    return 10 * L + 64
 
 
 _COMPLEMENT = str.maketrans("01", "10")
@@ -151,8 +149,10 @@ def _right_window(lo: int, n: int) -> str:
         first, last = lo >> k, (lo + n - 1) >> k
         pair = _pair(k)
         parts = [pair[_letter(j)] for j in range(first, last + 1)]
-        parts[0] = parts[0][lo - (first << k):]
+        # the end first: with the memo cut moved below one block, the
+        # window can lie in one block, and then parts[0] is parts[-1]
         parts[-1] = parts[-1][:lo + n - (last << k)]
+        parts[0] = parts[0][lo - (first << k):]
         return "".join(parts)
     k = (n - 1).bit_length()
     q = lo >> k
@@ -244,23 +244,15 @@ _texts = [None] * ((MAX_LOCATED_LENGTH - 2).bit_length() + 1)
 
 
 def _text(m: int) -> str:
-    """sigma^m(00110), where every factor of at most 2**m + 1 letters occurs."""
-    t = _texts[m]
+    """sigma^m(00110), where every factor of at most 2**m + 1 letters occurs;
+    held for m <= 6, and built from the level-m blocks on each call above."""
+    t = _texts[m] if m < len(_texts) else None
     if t is None:
         b0, b1 = _pair(m)
-        t = _texts[m] = b0 + b0 + b1 + b1 + b0
+        t = b0 + b0 + b1 + b1 + b0
+        if m < len(_texts):
+            _texts[m] = t
     return t
-
-
-# All factors of length <= 8 (validated against a 2**16 scan in the tests).
-_BASE_LENGTH = 8
-
-
-@lru_cache(maxsize=1)
-def _base_factors() -> frozenset:
-    t = _text(3)  # the 40 letters that hold every factor of at most 9
-    return frozenset(t[i:i + L] for L in range(1, _BASE_LENGTH + 1)
-                     for i in range(len(t) - L + 1))
 
 
 def lift(s: str, phase: int):
@@ -469,8 +461,9 @@ def factors_of_length(L: int) -> list:
         raise ValueError("length must be positive")
     if L > MAX_FACTOR_LENGTH:
         raise ResourceLimitError(f"length {L} exceeds {MAX_FACTOR_LENGTH}")
-    window = tm_prefix(_factor_window(L))
-    return sorted({window[i:i + L] for i in range(len(window) - L + 1)})
+    # every factor of L <= 2**k + 1 letters occurs in sigma^k(00110)
+    t = _text(max(L - 2, 0).bit_length())
+    return sorted({t[i:i + L] for i in range(len(t) - L + 1)})
 
 
 def _factors_upto(max_len: int) -> list:

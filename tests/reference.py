@@ -1,6 +1,6 @@
 """Independent reference routes, each held once: letters from binary digit
-sums, not the package's doubled blocks; a letter-by-letter scan; brute splits.
-None of them reads the package."""
+sums, not the package's doubled blocks; a letter-by-letter scan; brute splits;
+the factor complexity by its recurrence.  None of them reads the package."""
 
 
 def letters(lo: int, hi: int) -> str:
@@ -32,3 +32,12 @@ def splits(w: str, n: int) -> list:
         if w[g0:end] == found.translate(expand):
             out.append((w[:g0], tuple(map(int, found)), w[end:]))
     return out
+
+
+def complexity(max_len: int) -> list:
+    """[0, p(1), ..., p(max_len)], the factor complexity (Brlek 1989; de Luca & Varricchio
+    1989): p(1..3) = 2, 4, 6, p(2n) = p(n) + p(n + 1), p(2n + 1) = 2 p(n + 1) for n >= 2."""
+    p = [0, 2, 4, 6]
+    for L in range(4, max_len + 1):
+        p.append(p[L // 2] + p[L // 2 + 1] if L % 2 == 0 else 2 * p[L // 2 + 1])
+    return p

@@ -1,7 +1,8 @@
 """The one descent per word against the two routes it replaced.
 
 `_reference_is_factor` is the recursion that decided membership on
-both grids, level by level, and `_reference_chain` the iterative lift
+both grids, level by level, down to the factors of at most 8 letters in
+a scan of the reference prefix, and `_reference_chain` the iterative lift
 chain that tried both grids at every level; the signature completes the
 chain's top by brute force, each partial block matched against both
 blocks of its level.  The descent must give the same membership, level
@@ -27,10 +28,15 @@ from thuemorse.errors import (InvariantError, LevelError, NotAFactorError,
 from reference import letters
 
 
+# every factor of at most 8 letters, scanned from the reference prefix
+_BASE_FACTORS = {s[i:i + L] for s in [letters(0, 1 << 10)]
+                 for L in range(1, 9) for i in range(len(s) - L + 1)}
+
+
 @lru_cache(maxsize=None)
 def _reference_is_factor(w: str) -> bool:
     if len(w) <= 8:
-        return w in words._base_factors()
+        return w in _BASE_FACTORS
     return any(parent is not None and _reference_is_factor(parent)
                for parent in (words._parent_word(w, 0), words._parent_word(w, 1)))
 
@@ -143,21 +149,25 @@ def test_a_located_descent_matches_the_reference_routes_on_mutated_far_factors(
     _assert_matches_reference(_mutated_far_factor(start, length, kind, r, s))
 
 
-def test_the_located_cut_moved_down_gives_the_same_descents(monkeypatch):
-    # one seeded stream around the located cut and the memo's, at odd
-    # starts, so at a nonzero offset at every level, with a flip, a delete
-    # and an overlap of each length
-    rng = random.Random(20)
+def _seeded_stream(seed: int, lengths) -> list:
+    """Two factors, a flip, a delete and an overlap of each length at odd starts, so at a
+    nonzero offset at every level, and the first factor with its first and its last letter
+    flipped, which a route that drops an end letter would miss."""
+    rng = random.Random(seed)
     stream = []
-    for length in [*range(46, 67), 4095, 4096, 4097]:
+    for length in lengths:
         for kind in ("factor", "factor", "flip", "delete", "overlap"):
             start = (1 << rng.randrange(10, 61)) + 2 * rng.randrange(1 << 20) + 1
             stream.append(_mutated_far_factor(start, length, kind, rng.randrange(1 << 30),
                                               rng.randrange(1 << 30)))
-        # its first and its last letter flipped, which a route that drops
-        # an end letter would miss
         w = stream[-5]
         stream += [words.complement(w[0]) + w[1:], w[:-1] + words.complement(w[-1])]
+    return stream
+
+
+def test_the_located_cut_moved_down_gives_the_same_descents(monkeypatch):
+    # one seeded stream around the located cut and the memo's
+    stream = _seeded_stream(20, [*range(46, 67), 4095, 4096, 4097])
     expected = list(map(words._descend, stream))
     # a chunk then has at least 48 letters and still reaches level 4 by the
     # stop rule, as 47 - 15 >= 32, so words of 48-64 letters are located
@@ -165,6 +175,25 @@ def test_the_located_cut_moved_down_gives_the_same_descents(monkeypatch):
     monkeypatch.setattr(words, "MAX_LOCATED_LENGTH", 47)
     assert list(map(words._descend, stream)) == expected
     assert sum(found is None for found in expected) >= len(stream) // 2
+
+
+def test_the_memo_cut_moved_to_zero_gives_the_same_answers(monkeypatch):
+    # one seeded stream on both sides of the memo cut and of the extension
+    # memo's; each module that copies the cut reads it at call time, and at
+    # 0 no memo is read
+    stream = _seeded_stream(42, (1, 5, 64, 65, 1022, 1023, 4095, 4096, 4097))
+    queries = [words.is_factor, lambda w: blocks.decompose(w, blocks.choose_level(w)),
+               trace.trace_range, ktheory.reduce_class,
+               lambda w: extensions.extension_set(w, 1, 1),
+               lambda w: extensions.extension_set(w, 0, 1)]
+    expected = [_outcome(query, w) for w in stream for query in queries]
+    for module in (words, blocks, trace, ktheory, extensions):
+        monkeypatch.setattr(module, "MAX_CACHED_LENGTH", 0)
+    memos = (words._short_descent, blocks._short_decompose, extensions._short_extension_set)
+    sizes = [memo.cache_info()[:2] for memo in memos]
+    assert [_outcome(query, w) for w in stream for query in queries] == expected
+    assert [memo.cache_info()[:2] for memo in memos] == sizes
+    assert sum(found is False for found in expected[::len(queries)]) >= len(stream) // 3
 
 
 def test_a_doubled_letter_fixes_the_grid():
@@ -195,10 +224,12 @@ def test_a_fresh_factor_is_lifted_once(count_calls):
     lifted = count_calls(words, "lift")
     w = letters((1 << 47) + 919, (1 << 47) + 3919)  # a word no other test builds
     assert len(w) <= words.MAX_CACHED_LENGTH
+    chunked = count_calls(words, "_descend_long")
     _pipeline(w)
     # at most one lift chain's letters for the six calls, and the located
-    # descent lifts none
+    # descent lifts none; the five calls that descend w share one descent
     assert sum(map(len, lifted)) <= 2 * len(w) + 2 * 6
+    assert chunked == [w]
     # nor does a rejected word, an alternating one included
     for bad in (w[:1000] + w[1000:1100] * 2 + w[1000] + w[1201:], "01" * 1500):
         lifted.clear()
@@ -229,9 +260,11 @@ def test_an_uncached_factor_is_lifted_once_per_public_call(count_calls):
     lifted = count_calls(words, "lift")
     w = words.tm_slice(-(1 << 33) - 77, -(1 << 33) - 77 + words.MAX_WORD_LENGTH)
     assert len(w) > words.MAX_CACHED_LENGTH
+    chunked = count_calls(words, "_descend_long")
     _pipeline(w)
     # five calls descend w; complete_boundaries only its block word
     assert sum(map(len, lifted)) <= 10 * len(w) + 2 * 6
+    assert len(chunked) <= 5
 
 
 def _five_queries(w: str):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from thuemorse import extensions, words
 from thuemorse.errors import NotAFactorError, ResourceLimitError
-from reference import letters
+from reference import complexity, letters
 
 
 def test_examples():
@@ -73,23 +73,18 @@ def test_symmetry_under_reverse_and_complement():
         assert c == extensions.classify_extension_count(words.complement(w))
 
 
-def test_extension_sets_are_factor_scans(oracle_prefix):
-    # pruned letter-by-letter extension equals the brute substring scan
+def test_extension_sets_are_factor_scans(oracle_factors):
+    # the windows of one text equal the brute scan of the reference prefix
     for w in ["01", "00", "010", "0110", "10010110"]:
         for m, n in [(1, 1), (2, 2), (0, 3), (3, 0)]:
-            L = m + len(w) + n
-            scan = sorted({
-                oracle_prefix[i:i + L]
-                for i in range(len(oracle_prefix) - L + 1)
-                if oracle_prefix[i + m:i + m + len(w)] == w
-            })
+            scan = sorted(u for u in oracle_factors(m + len(w) + n) if u[m:m + len(w)] == w)
             # the second ask is answered by the memo
             for _ in range(2):
                 assert extensions.extension_set(w, m, n) == scan
 
 
 def test_short_extension_sets_are_reference_scans(oracle_factors):
-    # the factor-window route, |w| + m + n <= MAX_FACTOR_LENGTH, for every
+    # the windows of sigma^k(00110) against the reference scans, for every
     # factor of at most 20 letters and 0 <= m, n <= 3
     scans = {L: oracle_factors(L) for L in range(1, 27)}
     for m in range(4):
@@ -158,12 +153,20 @@ def test_far_one_letter_extensions_are_the_neighbours_in_the_oracle(oracle_prefi
 
 
 def test_a_first_extension_set_reads_one_descent_and_tests_no_candidate(count_calls):
-    # above MAX_FACTOR_LENGTH - 2 letters, the candidates a + w + b were each
-    # tested by is_factor, one descent apiece
-    for start in ((1 << 43) + 17, -(1 << 43) - 230):
-        w = words.tm_slice(start, start + 200)
+    # the windows of one text read w's descent alone, for its check; testing
+    # candidates a + w + b, or descending each word a one-letter step builds
+    # (51 693 descents for ("0", 0, 256)), makes more calls
+    cases = [(words.tm_slice(start, start + 200), 1, 1)
+             for start in ((1 << 43) + 17, -(1 << 43) - 230)]
+    cases += [("0", 0, 256), (cases[0][0], 3, 3)]
+    for w, m, n in cases:
         extensions._short_extension_set.cache_clear()
-        descents, tests = count_calls(words, "_descent"), count_calls(words, "is_factor")
-        found = extensions.extension_set(w, 1, 1)
-        assert (descents, tests) == ([w], [])
-        assert found == extensions._extend(w, 1, 1)
+        words._short_descent.cache_clear()
+        descents, checks = count_calls(words, "_descent"), count_calls(words, "_check_word")
+        tests = count_calls(words, "is_factor")
+        found = extensions.extension_set(w, m, n)
+        assert (descents, checks, tests) == ([w], [w], [])
+        assert found == extensions._extend(w, m, n)
+    # at the cap, the 4096-letter windows that begin with 0: half of all
+    # p(4096) factors of that length, by complement
+    assert len(extensions.extension_set("0", 0, 4095)) == 6143 == complexity(4096)[4096] // 2

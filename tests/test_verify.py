@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thuemorse import blocks, trace, verify, words
-from reference import splits
+from reference import complexity, splits
 
 ORACLE_LEN = 64
 
@@ -31,7 +31,7 @@ def _levels(L: int) -> range:
 def _table_splits(max_len: int) -> dict:
     """(w, n) -> splits of every factor of 2..max_len letters, read off one
     split table per (length, level), as check_combinatorics reads them."""
-    text = words.tm_prefix(words._factor_window(max_len))
+    text = words._text((max_len - 2).bit_length())
     out = {}
     for L in range(2, max_len + 1):
         first = {w: text.find(w) for w in words.factors_of_length(L)}
@@ -92,6 +92,17 @@ def test_a_shifted_block_fails_combinatorics_at_its_word(monkeypatch):
         "name": "combinatorics", "ok": False,
         "detail": f"uniqueness fails at {w0} level {n0}: "
                   f"{[(true.gamma0, true.blocks, true.gamma1)]}"}
+
+
+def test_a_missing_factor_fails_combinatorics_at_its_length(monkeypatch):
+    # the factor sets and the split tables read one text, so only the
+    # count certifies a set
+    real, p = words.factors_of_length, complexity(20)
+    monkeypatch.setattr(words, "factors_of_length", lambda L: real(L)[1:] if L == 20 else real(L))
+    for quick in (True, False):
+        assert verify.check_combinatorics(quick) == {
+            "name": "combinatorics", "ok": False,
+            "detail": f"{p[20] - 1} factors of length 20, not {p[20]}"}
 
 
 def test_a_flipped_sign_fails_the_uniqueness_certificate(monkeypatch):

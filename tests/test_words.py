@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from thuemorse import words
 from thuemorse.errors import NotAFactorError, ResourceLimitError
 from conftest import peak_bytes
-from reference import letters, scan
+from reference import complexity, letters, scan
 
 binary_words = st.text(alphabet="01", min_size=1, max_size=40)
 
@@ -276,11 +276,7 @@ def test_word_length_cap():
 
 
 def test_factors_of_length_counts(oracle_factors):
-    # the factor complexity (Brlek 1989; de Luca & Varricchio 1989): p(1..3)
-    # = 2, 4, 6, p(2n) = p(n) + p(n + 1) and p(2n + 1) = 2 p(n + 1) for n >= 2
-    p = [0, 2, 4, 6]
-    for L in range(4, words.MAX_FACTOR_LENGTH + 1):
-        p.append(p[L // 2] + p[L // 2 + 1] if L % 2 == 0 else 2 * p[L // 2 + 1])
+    p = complexity(words.MAX_FACTOR_LENGTH)
     assert [len(words.factors_of_length(L)) for L in range(1, len(p))] == p[1:]
     for L in range(1, 17):
         assert set(words.factors_of_length(L)) == oracle_factors(L)
@@ -293,13 +289,10 @@ def test_factors_of_length_examples():
     assert len(words.factors_of_length(4)) == 10
 
 
-def test_factors_sorted_and_window_insensitive():
+def test_factors_sorted_and_window_insensitive(oracle_factors):
+    # the same set as the windows of the reference's 2**16 letters
     for L in (5, 12, 30, 48):
-        got = words.factors_of_length(L)
-        assert got == sorted(got)
-        wide = words.tm_prefix(40 * L + 256)
-        rescan = sorted({wide[i:i + L] for i in range(len(wide) - L + 1)})
-        assert got == rescan
+        assert words.factors_of_length(L) == sorted(oracle_factors(L))
 
 
 def test_factor_complexity_monotone():
@@ -352,8 +345,9 @@ def test_occurrences_two_sided(oracle_prefix):
 
 
 def test_base_factor_window_is_safe(oracle_factors):
-    # the membership base case: every factor of at most 8 letters
-    assert words._base_factors() == {w for L in range(1, 9) for w in oracle_factors(L)}
+    # the windows of the texts that hold every factor of at most 8 letters
+    for L in range(1, 9):
+        assert set(words.factors_of_length(L)) == oracle_factors(L), L
 
 
 def test_each_text_holds_exactly_the_factors_of_its_length(oracle_factors):
