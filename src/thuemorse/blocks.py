@@ -16,8 +16,10 @@ each such word's decomposition at its `choose_level`, so a repeated
 `decompose` at that level reads no descent; `recompose` reads both
 blocks of a level from `words._pair`.
 
-`_split` reads a level's blocks off w at the descent's grid offset, as
-one stride slice.  It and `complete_boundaries` build decompositions by
+A descent (q, (n, c)) holds one occurrence q of w and no offsets:
+every occurrence has the same grids up to level n, so `_split` reads
+level k's blocks off w at the offset -q mod 2**k, as one stride slice.
+It and `complete_boundaries` build decompositions by
 `tuple.__new__`, which skips `BlockDecomposition.__post_init__`'s
 checks; `recompose`, the split tables of
 `verify` (every split of every factor of one length at one level, with
@@ -38,6 +40,10 @@ from ._value import value_base
 from .errors import InvariantError, LevelError, NotAFactorError
 from .words import (MAX_CACHED_LENGTH, _SHORT_LEVEL, _bits, _check_int, _factor_descent, _from_bits,
                     _is_binary, _pair, _right_window, _short_blocks, is_factor)
+
+# (q, (n, c)) of a factor's descent, or NotAFactorError: the one frame
+# between this module's readers and `words._descent`
+_chain = _factor_descent
 
 
 def _owner(gamma: str, level: int, suffix: bool):
@@ -68,18 +74,6 @@ def _owner(gamma: str, level: int, suffix: bool):
         if _right_window(j << k, g) == gamma:
             return j ^ flip
     return None
-
-
-def _complete(gamma0: str, c: str, gamma1: str, level: int):
-    """c extended by the owner letter of each nonempty partial block
-    (gamma0 ends its block, gamma1 begins it); None if one has no owner."""
-    for gamma, suffix in ((gamma0, True), (gamma1, False)):
-        if gamma:
-            j = _owner(gamma, level, suffix)
-            if j is None:
-                return None
-            c = "01"[j] + c if suffix else c + "01"[j]
-    return c
 
 
 class BlockDecomposition(value_base("level gamma0 blocks gamma1")):
@@ -124,16 +118,10 @@ def recompose(d: BlockDecomposition) -> str:
     return d.gamma0 + "".join([pair[b] for b in d.blocks]) + d.gamma1
 
 
-def _chain(w: str) -> tuple:
-    """The level offsets of a factor's descent (`words._descent`), empty for
-    words of at most four letters; raises NotAFactorError for a non-factor."""
-    return _factor_descent(w)[0]
-
-
-def _split(w: str, offsets: tuple, n: int) -> BlockDecomposition:
-    """The level-n decomposition of w from its descent's level offsets,
-    for 0 <= n <= len(offsets); unchecked."""
-    off = offsets[n - 1] if n else 0
+def _split(w: str, q: int, n: int) -> BlockDecomposition:
+    """The level-n decomposition of a factor w that occurs at q, for n at
+    most its top level; unchecked."""
+    off = -q & ((1 << n) - 1)
     end = off + ((len(w) - off) >> n << n)
     return tuple.__new__(BlockDecomposition, (n, w[:off], _bits(w[off:end:1 << n]), w[end:]))
 
@@ -151,17 +139,17 @@ def decompose(w: str, n: int) -> BlockDecomposition:
         d = _short_decompose(w)
         if d.level == n:
             return d
-    offsets = _chain(w)
+    q, (top, _) = _chain(w)
     if len(w) < 2:
         raise LevelError("words of length < 2 have no block decomposition")
     n = _check_int(n, "n")
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if n and not offsets:
+    if n and not top:
         raise LevelError(f"no level-1 decomposition of {w!r} with two full blocks")
-    if n > len(offsets):
+    if n > top:
         raise LevelError(f"no level-{n} decomposition of {w!r} with two full blocks")
-    return _split(w, offsets, n)
+    return _split(w, q, n)
 
 
 # keyed on the word alone: `verify` asks each (word, level) pair once, so a
@@ -170,18 +158,18 @@ def decompose(w: str, n: int) -> BlockDecomposition:
 @lru_cache(maxsize=1 << 9)
 def _short_decompose(w: str) -> BlockDecomposition:
     """`decompose(w, choose_level(w))` by the same checks."""
-    offsets = _chain(w)
+    q, (n, _) = _chain(w)
     if len(w) < 2:
         raise LevelError("words of length < 2 have no block decomposition")
-    return _split(w, offsets, len(offsets))
+    return _split(w, q, n)
 
 
 def choose_level(w: str) -> int:
     """The largest level at which w decomposes into 2..4 full blocks."""
-    offsets = _chain(w)
+    n = _chain(w)[1][0]
     if len(w) < 2:
         raise LevelError("words of length < 2 have no block decomposition")
-    return len(offsets)
+    return n
 
 
 def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:
@@ -195,13 +183,18 @@ def complete_boundaries(d: BlockDecomposition) -> BlockDecomposition:
     """
     if len(d.blocks) < 2:
         raise ValueError("completion needs at least two full blocks")
-    c = _complete(d.gamma0, _from_bits(d.blocks), d.gamma1, d.level)
-    if c is None:
+    # the owner letter of each nonempty partial block (gamma0 ends its block,
+    # gamma1 begins it), then the block letters between them
+    head = (_owner(d.gamma0, d.level, True),) if d.gamma0 else ()
+    tail = (_owner(d.gamma1, d.level, False),) if d.gamma1 else ()
+    if None in head or None in tail:
         raise InvariantError(
             f"gamma0 {d.gamma0!r} or gamma1 {d.gamma1!r} completes no level-{d.level} block")
+    bits = (*head, *d.blocks, *tail)
+    c = _from_bits(bits)
     if not is_factor(c):
         raise InvariantError(f"boundary completion {c!r} at level {d.level} is not a factor")
-    return tuple.__new__(BlockDecomposition, (d.level, "", _bits(c), ""))
+    return tuple.__new__(BlockDecomposition, (d.level, "", bits, ""))
 
 
 def rewrite_five(blocks, n: int):

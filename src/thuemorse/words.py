@@ -10,9 +10,9 @@ sigma^m(00110), a text of at most 320 letters, whole or by 64-letter
 chunks.  The same texts are the one source of factor sets: the factors
 of L letters are the L-letter windows of sigma^k(00110) with 2**k + 1 >=
 L (`factors_of_length`), and so are extension sets (`extensions`).  A
-word is validated (`_check_word`) where it is descended: a short word
-once, when its descent is first memoised, so a repeated query pays one
-lookup and no O(|w|) re-check.
+word is validated where it is descended, its letters only when it is not
+found: a short word once, when its descent is first memoised, so a
+repeated query pays one lookup and no O(|w|) re-check.
 
 No prefix of the sequence is held.  The aligned level-k block j of the
 sequence, w[j 2**k] ... w[(j + 1) 2**k - 1], is block(w[j], k) (the
@@ -70,14 +70,14 @@ def _from_bits(bits) -> str:
     return bytes(bits).translate(_LETTERS).decode()
 
 
-def _check_word(w: str, allow_empty: bool = False) -> str:
+def _check_word(w: str, allow_empty: bool = False, letters: bool = True) -> str:
     if not isinstance(w, str):
         raise TypeError(f"word must be a string, got {type(w).__name__}")
     if not w and not allow_empty:
         raise ValueError("empty word not allowed here")
     if len(w) > MAX_WORD_LENGTH:
         raise ResourceLimitError(f"word length {len(w)} exceeds {MAX_WORD_LENGTH}")
-    if not _is_binary(w):
+    if letters and not _is_binary(w):
         raise ValueError(f"word must consist of '0'/'1' only: {w!r}")
     return w
 
@@ -129,11 +129,7 @@ def tm_prefix(n: int) -> str:
 def tm_letter(i: int) -> int:
     """Letter at any integer index; negative indices mirror: w[-i] = w[i-1]."""
     i = _check_int(i, "i")
-    return _letter(-i - 1 if i < 0 else i)
-
-
-def _letter(i: int) -> int:
-    return i.bit_count() & 1  # w[i] for i >= 0, unchecked
+    return (-i - 1 if i < 0 else i).bit_count() & 1
 
 
 def _right_window(lo: int, n: int) -> str:
@@ -148,7 +144,7 @@ def _right_window(lo: int, n: int) -> str:
         k = _SHORT_LEVEL
         first, last = lo >> k, (lo + n - 1) >> k
         pair = _pair(k)
-        parts = [pair[_letter(j)] for j in range(first, last + 1)]
+        parts = [pair[j.bit_count() & 1] for j in range(first, last + 1)]
         # the end first: with the memo cut moved below one block, the
         # window can lie in one block, and then parts[0] is parts[-1]
         parts[-1] = parts[-1][:lo + n - (last << k)]
@@ -157,7 +153,7 @@ def _right_window(lo: int, n: int) -> str:
     k = (n - 1).bit_length()
     q = lo >> k
     start = lo - (q << k)
-    # the table entry once it is filled, and w[q], w[q + 1] as in `_letter`:
+    # the table entry once it is filled, and w[q], w[q + 1] as in `tm_letter`:
     # no call on this hot path
     pair = _short_blocks[k] or _pair(k)
     head = pair[q.bit_count() & 1][start:start + n]
@@ -287,23 +283,25 @@ def _parent_word(w: str, phase: int):
 
 
 def _descent(w: str):
-    """(offsets, (n, c)) for a factor w, None for a non-factor.
+    """(q, (n, c)) for a factor w, None for a non-factor.
 
-    offsets[k - 1] is w's level-k grid offset off: the level-k block
-    letters are the stride slice w[off:end:2**k], end = off + ((|w| -
-    off) >> k << k), and w[:off] and w[end:] are the partial blocks.
-    There are offsets while |w| - off >= 2**(k + 1), two full blocks.
+    q is one occurrence of w, w = w[q] ... w[q + |w| - 1], and (n, c) its
+    signature (`blocks`).  w's level-k grid offset is off = -q mod 2**k:
+    the level-k block letters are the stride slice w[off:end:2**k], end =
+    off + ((|w| - off) >> k << k), between the partial blocks w[:off] and
+    w[end:].  n is the top k with two full blocks, |w| - off >= 2**(k + 1).
     Each grid a factor reaches is forced: by a 00 or 11, or, for a block
     string 0101 or 1010, because the odd grid would need 10101 or 01010.
-    So an occurrence q of w on the sequence's level-m grid gives the
-    offsets as -q mod 2**k, and no level is lifted.  Two routes find it:
+    So every occurrence gives the same offsets, and none is stored or
+    lifted.  Two routes find q:
 
     - A word of at most MAX_LOCATED_LENGTH letters is found in
-      `_text(m)` = sigma^m(00110), 2**m + 1 >= |w| (`_locate`).  A
-      window of 2**m + 1 letters meets at most two aligned level-m
-      blocks, and 00110 holds all four pairs of them, so w is a factor
-      exactly when it occurs there.  The signature is the first letters
-      of the level-n blocks of the text that w meets.
+      `_text(m)` = sigma^m(00110), the sequence's letters [5 2**m,
+      10 2**m), with 2**m + 1 >= |w| (`_locate`).  A window of 2**m + 1
+      letters meets at most two aligned level-m blocks, and 00110 holds
+      all four pairs of them, so w is a factor exactly when it occurs
+      there.  The signature is the first letters of the level-n blocks
+      of the text that w meets.
     - A longer word is located by 64-letter chunks (`_descend_long`).
       The first 64 letters of its block string c, found in `_text(6)`,
       fix c's next four grids, since a 64-letter factor reaches level 4
@@ -311,15 +309,19 @@ def _descent(w: str):
       more than MAX_LOCATED_LENGTH letters, and the last c is located.
       c's stop rule is w's own at the same level.  The top block word is
       read off w, since block(x, n) starts with x and ends with x + n
-      mod 2, and its occurrence in `_text(3)`, the sequence's letters
-      40..79, places w in the sequence.  For a factor every guess is its
-      own grid, so w is a factor exactly when it equals the sequence's
-      window there: that one compare is the whole membership test.
+      mod 2, and its occurrence p in `_text(3)`, the sequence's letters
+      40..79, places w at q = (40 + p) 2**n + (-off mod 2**n), off its
+      level-n offset.  For a factor every guess is its own grid, so w
+      is a factor exactly when it equals the sequence's window at q:
+      that one compare is the whole membership test.
 
-    `_descend` validates w (`_check_word`) first.  An exact str of at
-    most MAX_CACHED_LENGTH letters goes through the memo, which stores
-    no call that raises, so every key is a checked word and a repeated
-    word is checked once; any other input is checked on every call.
+    A route that finds w proves its alphabet too, as only a binary word
+    occurs in a binary text or equals a binary window.  So `_descend`
+    checks w's type, emptiness and length first, and its letters only
+    when the route finds nothing; the routes compare letters and parse
+    none.  An exact str of at most MAX_CACHED_LENGTH letters goes through
+    the memo, which stores no call that raises, so a repeated word is
+    checked once; any other input is checked on every call.
     """
     if type(w) is str and len(w) <= MAX_CACHED_LENGTH:
         return _short_descent(w)
@@ -327,30 +329,29 @@ def _descent(w: str):
 
 
 def _descend(w: str):
-    _check_word(w)
-    if len(w) <= MAX_LOCATED_LENGTH:  # read at call time
-        return _locate(w)
-    return _descend_long(w)
+    _check_word(w, letters=False)
+    found = _locate(w) if len(w) <= MAX_LOCATED_LENGTH else _descend_long(w)  # read at call time
+    if found is None:
+        _check_word(w)
+    return found
 
 
 def _locate(w: str):
-    """`_descend` for a checked word of at most MAX_LOCATED_LENGTH letters,
-    read off its first occurrence q in `_text(m)` (see `_descent`)."""
+    """`_descend` for a word of at most MAX_LOCATED_LENGTH letters, read
+    off its first occurrence in `_text(m)` (see `_descent`)."""
     t = _text(max(len(w) - 2, 0).bit_length())
     q = t.find(w)
     if q < 0:
         return None
-    # the level-k offset -q mod 2**k, while it leaves two full blocks
-    offsets, k = [], 1
-    while len(w) - (-q & ((1 << k) - 1)) >= 2 << k:
-        offsets.append(-q & ((1 << k) - 1))
-        k += 1
-    n = len(offsets)
-    return tuple(offsets), (n, t[q >> n << n:((q + len(w) - 1) >> n) + 1 << n:1 << n])
+    n = 0  # the top level: the last whose offset -q mod 2**n leaves two full blocks
+    while len(w) - (-q & ((2 << n) - 1)) >= 4 << n:
+        n += 1
+    # the text is the sequence's letters from its own length on
+    return len(t) + q, (n, t[q >> n << n:((q + len(w) - 1) >> n) + 1 << n:1 << n])
 
 
 def _descend_long(w: str):
-    """`_descend` for a checked word above MAX_LOCATED_LENGTH (`_descent`)."""
+    """`_descend` for a word of more than MAX_LOCATED_LENGTH letters (`_descent`)."""
     c, j, off = w, 0, 0  # c is w's level-j block string, from w's letter off
     while len(c) > MAX_LOCATED_LENGTH:
         q = _text(6).find(c[:64])
@@ -363,23 +364,29 @@ def _descend_long(w: str):
     q = _text(max(len(c) - 2, 0).bit_length()).find(c)
     if q < 0:
         return None
-    k = 1  # c's levels by `_locate`'s rule, without the offsets it builds
-    while len(c) - (-q & ((1 << k) - 1)) >= 2 << k:
+    k = 0  # c's top level by `_locate`'s rule
+    while len(c) - (-q & ((2 << k) - 1)) >= 4 << k:
         k += 1
-    n = j + k - 1
-    off += (-q & ((1 << (k - 1)) - 1)) << j  # w's level-n offset
+    n = j + k
+    off += (-q & ((1 << k) - 1)) << j  # w's level-n offset
     # the stride slice ends on the first letter of any right partial block
-    top = ("01"[int(w[off - 1]) ^ (n & 1)] if off else "") + w[off::1 << n]
+    top = ("01"[(w[off - 1] == "1") ^ (n & 1)] if off else "") + w[off::1 << n]
     # the level-n blocks 40 + p.. of the sequence spell top (see `_descent`)
     p = _text(3).find(top)
-    if p < 0 or _right_window((40 + p << n) + (-off & ((1 << n) - 1)), len(w)) != w:
-        return None
-    return tuple([off & ((2 << i) - 1) for i in range(n)]), (n, top)
+    q = (40 + p << n) + (-off & ((1 << n) - 1))
+    return (q, (n, top)) if p >= 0 and _right_window(q, len(w)) == w else None
 
 
 # 20k mixed queries on words of <= 64 letters descend 1.8k-1.9k distinct
-# words; an entry of 4096 letters (key, offsets, signature) holds 4.5 kB.
+# words; an entry of 4096 letters (key, q, signature) holds 4.4 kB.
 _short_descent = lru_cache(maxsize=1 << 11)(_descend)
+
+
+def _witness(w: str):
+    """The occurrence q of a factor w that its descent found, w =
+    tm_slice(q, q + |w|), or None for a non-factor."""
+    found = _descent(w)
+    return None if found is None else found[0]
 
 
 # Below this prefix length a count reads the prefix itself.
@@ -417,7 +424,7 @@ def _count_step(w: str, n: int) -> int:
         # for factors, and a non-factor occurs nowhere
         return tm_prefix(n).count(w)
     if len(w) < 4:
-        last = all(_letter(n - len(w) + i) == int(a) for i, a in enumerate(w))
+        last = all((n - len(w) + i).bit_count() & 1 == int(a) for i, a in enumerate(w))
         return _prefix_count(w + "0", n) + _prefix_count(w + "1", n) + last
     total = 0
     for phase in (0, 1):

@@ -6,8 +6,9 @@ a scan of the reference prefix, and `_reference_chain` the iterative lift
 chain that tried both grids at every level; the signature completes the
 chain's top by brute force, each partial block matched against both
 blocks of its level.  The descent must give the same membership, level
-offsets and signature on every word, and each level's stride slice must
-be the chain's lifted word.  The overlap lemma backs the guessed grids:
+offsets (-q mod 2**k of its occurrence q, itself read back by popcount
+letters) and signature on every word, and each level's stride slice
+must be the chain's lifted word.  The overlap lemma backs the guessed grids:
 a block string of five or more letters that lifts on both grids holds
 01010 or 10101, so a factor's has a 00 or 11 that fixes its own grid,
 and the final compare alone decides membership.  The counting gates
@@ -78,12 +79,22 @@ def _reference_signature(w: str) -> tuple:
     return n, c
 
 
+def _grids(w: str, found):
+    """None for a non-factor, else (the level offsets -q mod 2**k, the signature) of a
+    descent (q, (n, c)), after checking that q is an occurrence of w by popcount letters."""
+    if found is None:
+        return None
+    q, (n, c) = found
+    assert letters(q, q + len(w)) == w, (w, q)
+    return tuple(-q % (1 << k) for k in range(1, n + 1)), (n, c)
+
+
 def _assert_matches_reference(w: str):
     found = words._descent(w)
     assert (found is not None) == _reference_is_factor(w), w
     if found is not None:
         chain = _reference_chain(w)
-        assert found == (tuple(off for _, off in chain), _reference_signature(w)), w
+        assert _grids(w, found) == (tuple(off for _, off in chain), _reference_signature(w)), w
         # each level's block letters are the stride slice at its offset
         for n, (c, off) in enumerate(chain, 1):
             assert (len(w) - off) >> n == len(c) and w[off:off + (len(c) << n):1 << n] == c, (w, n)
@@ -149,6 +160,25 @@ def test_a_located_descent_matches_the_reference_routes_on_mutated_far_factors(
     _assert_matches_reference(_mutated_far_factor(start, length, kind, r, s))
 
 
+def _assert_witnessed(w: str):
+    # q read back by popcount letters, which no package table builds
+    q = words._witness(w)
+    assert (q is not None) == _reference_is_factor(w), w
+    assert q is None or letters(q, q + len(w)) == w, (w, q)
+
+
+def test_a_witness_is_an_occurrence_of_every_short_word():
+    for L in range(1, 15):
+        for x in range(1 << L):
+            _assert_witnessed(format(x, f"0{L}b"))
+
+
+@given(far_offsets, st.integers(min_value=1, max_value=3000), mutations, seeds, seeds)
+@settings(max_examples=150, deadline=None)
+def test_a_witness_is_an_occurrence_of_a_mutated_far_factor(start, length, kind, r, s):
+    _assert_witnessed(_mutated_far_factor(start, length, kind, r, s))
+
+
 def _seeded_stream(seed: int, lengths) -> list:
     """Two factors, a flip, a delete and an overlap of each length at odd starts, so at a
     nonzero offset at every level, and the first factor with its first and its last letter
@@ -168,12 +198,13 @@ def _seeded_stream(seed: int, lengths) -> list:
 def test_the_located_cut_moved_down_gives_the_same_descents(monkeypatch):
     # one seeded stream around the located cut and the memo's
     stream = _seeded_stream(20, [*range(46, 67), 4095, 4096, 4097])
-    expected = list(map(words._descend, stream))
+    expected = [_grids(w, words._descend(w)) for w in stream]
     # a chunk then has at least 48 letters and still reaches level 4 by the
     # stop rule, as 47 - 15 >= 32, so words of 48-64 letters are located
-    # by chunks and a compare instead of one search
+    # by chunks and a compare instead of one search; the two routes may
+    # find different occurrences, with the same offsets
     monkeypatch.setattr(words, "MAX_LOCATED_LENGTH", 47)
-    assert list(map(words._descend, stream)) == expected
+    assert [_grids(w, words._descend(w)) for w in stream] == expected
     assert sum(found is None for found in expected) >= len(stream) // 2
 
 
@@ -237,9 +268,33 @@ def test_a_fresh_factor_is_lifted_once(count_calls):
         assert sum(map(len, lifted)) < 2 * len(bad)
 
 
+def test_a_descent_reads_at_most_one_window_of_the_sequence(monkeypatch):
+    start = (1 << 41) + 4321  # a nonzero offset at every level
+    located = [letters(start, start + L) for L in range(1, words.MAX_LOCATED_LENGTH + 1)]
+    chunked = [words.tm_slice(start, start + L) for L in (65, 100, 2048, 4096, 4097, 30000,
+                                                          words.MAX_WORD_LENGTH)]
+    stream = _seeded_stream(43, (65, 1000, 4097))
+    read, real = [], words._right_window
+    monkeypatch.setattr(words, "_right_window", lambda lo, n: read.append(n) or real(lo, n))
+    # a located word, factor or not, is read off a text alone
+    for w in located:
+        assert words._descend(w) is not None
+        assert len(w) < 3 or words._descend(w[:-3] + "000") is None
+    assert read == []
+    # a longer factor's chunks are found in texts, and the one compare reads
+    # the sequence's window of |w| letters; a non-factor reads at most that
+    for w in chunked:
+        read.clear()
+        assert words._descend(w) is not None and read == [len(w)], len(w)
+    for w in stream:
+        read.clear()
+        words._descend(w)
+        assert read in ([], [len(w)]), len(w)
+
+
 def test_a_located_word_is_never_lifted(count_calls):
     lifted = count_calls(words, "lift")
-    completed = count_calls(blocks, "_complete")
+    completed = count_calls(blocks, "_owner")
     chunked = count_calls(words, "_descend_long")
     start = (1 << 45) + 3333  # a nonzero offset at every level
     for L in range(1, words.MAX_LOCATED_LENGTH + 1):
@@ -275,15 +330,23 @@ def _five_queries(w: str):
 
 
 def test_a_cached_word_is_checked_once(count_calls):
-    checked = count_calls(words, "_check_word")
+    checked, read = count_calls(words, "_check_word"), count_calls(words, "_is_binary")
     w = letters((1 << 46) + 6061, (1 << 46) + 6361)  # a word no other test builds
     assert len(w) <= words.MAX_CACHED_LENGTH
     _five_queries(w)
-    # checked on the memo's miss; the four hits reuse that check
-    assert checked == [w]
+    # its shape checked on the memo's miss, and the four hits reuse that
+    # check; the descent's find or compare proves a factor's letters, so
+    # none is read
+    assert checked == [w] and read == []
     long_word = words.tm_slice(1 << 45, (1 << 45) + words.MAX_CACHED_LENGTH + 1)
     _five_queries(long_word)
-    assert checked[1:] == [long_word] * 5
+    assert checked[1:] == [long_word] * 5 and read == []
+    # a word that no route finds has its letters read once, after its shape
+    for bad in ("000", long_word[:-3] + "000", "0110" * 3 + "2", long_word[:-1] + "٢"):
+        checked.clear()
+        read.clear()
+        assert _outcome(words._descend, bad) in (None, (ValueError, _NOT_BINARY + repr(bad)))
+        assert checked == [bad] * 2 and read == [bad]
 
 
 class _Word(str):

@@ -155,7 +155,8 @@ def test_far_one_letter_extensions_are_the_neighbours_in_the_oracle(oracle_prefi
 def test_a_first_extension_set_reads_one_descent_and_tests_no_candidate(count_calls):
     # the windows of one text read w's descent alone, for its check; testing
     # candidates a + w + b, or descending each word a one-letter step builds
-    # (51 693 descents for ("0", 0, 256)), makes more calls
+    # (51 693 descents for ("0", 0, 256)), makes more calls.  The descent
+    # checks w's shape once and reads no letter for its alphabet
     cases = [(words.tm_slice(start, start + 200), 1, 1)
              for start in ((1 << 43) + 17, -(1 << 43) - 230)]
     cases += [("0", 0, 256), (cases[0][0], 3, 3)]
@@ -163,9 +164,9 @@ def test_a_first_extension_set_reads_one_descent_and_tests_no_candidate(count_ca
         extensions._short_extension_set.cache_clear()
         words._short_descent.cache_clear()
         descents, checks = count_calls(words, "_descent"), count_calls(words, "_check_word")
-        tests = count_calls(words, "is_factor")
+        tests, read = count_calls(words, "is_factor"), count_calls(words, "_is_binary")
         found = extensions.extension_set(w, m, n)
-        assert (descents, checks, tests) == ([w], [w], [])
+        assert (descents, checks, tests, read) == ([w], [w], [], [])
         assert found == extensions._extend(w, m, n)
     # at the cap, the 4096-letter windows that begin with 0: half of all
     # p(4096) factors of that length, by complement

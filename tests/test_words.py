@@ -257,11 +257,11 @@ def test_a_descent_memo_entry_holds_its_key_and_no_lifted_word():
         tracemalloc.stop()
     assert words._short_descent.cache_info().currsize == count
     # beside its key and the key's slot in `windows`, an entry holds the
-    # descent and signature pairs, at most 21 offsets, a block word of at
-    # most six letters, and the lru_cache link with its dict slot (16 words
-    # at most)
-    entry = (2 * sys.getsizeof((0, 0)) + sys.getsizeof(tuple(range(21)))
-             + 21 * sys.getsizeof(size) + sys.getsizeof("0" * 6) + 16 * 8)
+    # descent and signature pairs, one int q below 2**30, a block word of
+    # at most six letters, and the lru_cache link, 7 words, with its dict
+    # slot (12 words in all); no level offset
+    entry = (2 * sys.getsizeof((0, 0)) + sys.getsizeof(1 << 29) + sys.getsizeof("0" * 6)
+             + 12 * 8)
     assert held <= sum(map(sys.getsizeof, windows)) + count * (entry + 8)
 
 
