@@ -217,7 +217,7 @@ def empirical_trace(alpha: str, W: int) -> Fraction:
     reversed word counts those in x[-W..-1] (mirror rule x[-i] = x[i-1]),
     and `str.count` on x[1-|alpha|..|alpha|-2] those that straddle 0;
     overlap-freeness makes its non-overlapping count the full one.
-    Time and memory are O(|alpha| + log W) beyond the counter's memo.
+    Time and memory are O(|alpha| + log W), with nothing memoised.
     """
     W = _check_int(W, "W")
     _check_width(W)

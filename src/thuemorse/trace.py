@@ -198,9 +198,9 @@ def frequency(w: str, N: int) -> Fraction:
     """Occurrence count of w among the first N letters over window count.
 
     An exact rational; by unique ergodicity it converges to
-    trace_range(w) as N grows.  The count comes from the substitution
-    recursion of `words._prefix_count`, which halves N per level and
-    never builds the prefix, so it costs O(|w| + log N).
+    trace_range(w) as N grows.  The count is `words._prefix_count`'s, off
+    two blocks, four joins and one window, never the prefix, so it costs
+    O(|w| + log N).
     """
     N = _check_int(N, "N")
     require_factor(w)

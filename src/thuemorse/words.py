@@ -23,9 +23,8 @@ read off the two blocks of level (n - 1).bit_length() that hold it, and
 a longer one off the top-level blocks that it meets, in O(n + log offset)
 time and memory.  Thue-Morse is overlap-free (Thue 1912), so no two
 occurrences of a word overlap, and `str.count` on a window is the exact
-occurrence count.  Counts in long prefixes instead follow the same
-de-substitution down the substitution levels (`_prefix_count`), without
-building the prefix.
+occurrence count.  A count in a prefix is read off two blocks and four
+joins, without building the prefix (`_prefix_count`).
 """
 
 import operator
@@ -251,37 +250,6 @@ def _text(m: int) -> str:
     return t
 
 
-def lift(s: str, phase: int):
-    """De-substitute the pairs of s that start at offset `phase` (0 or 1).
-
-    Returns the first letter of each pair s[phase + 2t] s[phase + 2t + 1],
-    or None when some pair is 00 or 11.  A dangling letter at either end
-    is not read.  Two extended slices and one translate, so no Python
-    loop runs over the letters.
-    """
-    end = phase + (len(s) - phase) // 2 * 2
-    first = s[phase:end:2]
-    if first.translate(_COMPLEMENT) != s[phase + 1:end:2]:
-        return None
-    return first
-
-
-def _parent_word(w: str, phase: int):
-    """De-substitute one level assuming w starts at grid offset `phase`.
-
-    A dangling leading letter x is the second half of a pair, so its
-    parent letter is the complement of x; a dangling trailing letter is
-    a first half and maps to itself.  Returns None when some interior
-    pair is not 01 or 10.
-    """
-    body = lift(w, phase)
-    if body is None:
-        return None
-    head = complement(w[0]) if phase else ""
-    tail = w[-1] if (len(w) - phase) % 2 else ""
-    return head + body + tail
-
-
 def _descent(w: str):
     """(q, (n, c)) for a factor w, None for a non-factor.
 
@@ -389,54 +357,39 @@ def _witness(w: str):
     return None if found is None else found[0]
 
 
-# Below this prefix length a count reads the prefix itself.
-_COUNT_BASE = 64
-# Counts of words longer than this are not memoised; a long word's
-# parents halve in length, so its recursion reaches the memo after
-# log2(|w| / _COUNT_KEY_LENGTH) levels.
-_COUNT_KEY_LENGTH = 64
-
-
 def _prefix_count(w: str, n: int) -> int:
     """Occurrences of w at starts p >= 0 with p + |w| <= n.
 
-    Exact for any nonempty binary word, factor or not, by the 2-automatic
-    recursion (Allouche & Shallit, Automatic Sequences, 2003): an
-    occurrence at p = 2q + phase is an occurrence of the parent word
-    `_parent_word(w, phase)` at q, and q ranges over
-    0 <= q <= (n - phase - |w|) // 2.  Words of fewer than four letters
-    do not shrink under de-substitution, so they split into their right
-    extensions plus the one start p = n - |w| that has no extension
-    inside the prefix.  Memory is O(|w|) and time O(|w| + log n) beyond
-    the shared memo of short words; the prefix is never built beyond
-    _COUNT_BASE letters.
+    Exact for any nonempty binary word, factor or not, without building
+    the prefix.  With L = |w| and K = (L - 1).bit_length(), so 2**K >= L,
+    block(x, k) for k >= K begins with B_x = block(x, K) and ends with
+    B_(x + k - K mod 2).  An occurrence across the join of two such blocks
+    lies in the last L - 1 letters of one B and the first L - 1 of the
+    other, so four counts `cross` cover every join, and the counts in
+    block(0, k) and block(1, k) follow level by level by addition.  [0, s),
+    s = n >> K << K, is the level-k blocks at the 1-bits k >= K of n,
+    highest first, the one at bit k block(tm_letter(n >> (k + 1)), k); one
+    window from L - 1 letters before s to n adds the occurrences that end
+    past s.  Thue-Morse is overlap-free, so `str.count` is exact.  Time and
+    memory are O(|w| + log n).
     """
-    if len(w) <= _COUNT_KEY_LENGTH:
-        return _short_prefix_count(w, n)
-    return _count_step(w, n)
-
-
-def _count_step(w: str, n: int) -> int:
-    if n < len(w):
-        return 0
-    if n <= _COUNT_BASE:
-        # overlap-free, so str.count's non-overlapping count is complete
-        # for factors, and a non-factor occurs nowhere
-        return tm_prefix(n).count(w)
-    if len(w) < 4:
-        last = all((n - len(w) + i).bit_count() & 1 == int(a) for i, a in enumerate(w))
-        return _prefix_count(w + "0", n) + _prefix_count(w + "1", n) + last
-    total = 0
-    for phase in (0, 1):
-        parent = _parent_word(w, phase)
-        if parent is not None:
-            total += _prefix_count(parent, (n - phase - len(w)) // 2 + len(parent))
-    return total
-
-
-# one count at n <= 2**26 was measured to visit at most ~1100 short keys;
-# the 92 words of the ergodic check in `verify --full` share 656
-_short_prefix_count = lru_cache(maxsize=1 << 12)(_count_step)
+    L = len(w)
+    K = (L - 1).bit_length()
+    B = _pair(K)
+    cross = [[(B[a][(1 << K) - L + 1:] + B[b][:L - 1]).count(w) for b in (0, 1)] for a in (0, 1)]
+    inner = [B[0].count(w), B[1].count(w)]  # the counts in block(0, k) and block(1, k)
+    total, right = 0, None  # right: the letter of the block counted last, to the right
+    for k in range(K, n.bit_length()):
+        e = (k - K) & 1  # block(x, k) ends with B_(x ^ e)
+        if n >> k & 1:
+            x = (n >> (k + 1)).bit_count() & 1
+            total += inner[x] + (0 if right is None else cross[x ^ e][right])
+            right = x
+        both = inner[0] + inner[1]
+        inner = [both + cross[e][1], both + cross[e ^ 1][0]]
+    s = n >> K << K
+    head = max(s - L + 1, 0)
+    return total + _slice(head, n).count(w) - _slice(head, s).count(w)
 
 
 def is_factor(w: str) -> bool:

@@ -1,6 +1,7 @@
 """Independent reference routes, each held once: letters from binary digit
 sums, not the package's doubled blocks; a letter-by-letter scan; brute splits;
-the factor complexity by its recurrence.  None of them reads the package."""
+the factor complexity by its recurrence; one level of de-substitution.  None
+of them reads the package."""
 
 
 def letters(lo: int, hi: int) -> str:
@@ -41,3 +42,20 @@ def complexity(max_len: int) -> list:
     for L in range(4, max_len + 1):
         p.append(p[L // 2] + p[L // 2 + 1] if L % 2 == 0 else 2 * p[L // 2 + 1])
     return p
+
+
+def lift(s: str, phase: int):
+    """The first letters of the pairs of s from offset `phase` (0 or 1), or None
+    when a pair is 00 or 11; a dangling letter at either end is not read."""
+    end = phase + (len(s) - phase) // 2 * 2
+    first = s[phase:end:2]
+    return first if first.translate(str.maketrans("01", "10")) == s[phase + 1:end:2] else None
+
+
+def parent_word(w: str, phase: int):
+    """w one level up from grid offset `phase`: a dangling first letter is the second
+    half of a pair, so its parent is its complement; a dangling last letter is its own."""
+    body = lift(w, phase)
+    if body is None:
+        return None
+    return ("10"[int(w[0])] if phase else "") + body + (w[-1] if (len(w) - phase) % 2 else "")

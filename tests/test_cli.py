@@ -203,6 +203,8 @@ def test_completion_guards_raise_invariant_errors(capsys, monkeypatch):
     # a non-factor
     with monkeypatch.context() as m:
         m.setattr(words, "_right_window", lambda lo, n: "")
+        # a far factor of 100 letters that another test drew may be w itself
+        words._short_descent.cache_clear()
         code, payload = run_json(capsys, ["trace", w])
         words._short_descent.cache_clear()
     assert code == 1 and list(payload) == ["error"]

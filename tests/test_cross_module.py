@@ -216,6 +216,5 @@ def test_readme_names_every_memo():
     assert sorted(memos) == [
         "afcore._trace_vector", "afcore.af_level", "blocks._short_decompose",
         "extensions._short_extension_set", "ktheory._block_word_class", "trace._block_word_trace",
-        "verify._level_masks", "words._short_descent", "words._short_prefix_count",
-        "words._short_slice"]
+        "verify._level_masks", "words._short_descent", "words._short_slice"]
     assert [m for m in memos if f"`{m}`" not in readme] == []

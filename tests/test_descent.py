@@ -12,8 +12,8 @@ must be the chain's lifted word.  The overlap lemma backs the guessed grids:
 a block string of five or more letters that lifts on both grids holds
 01010 or 10101, so a factor's has a 00 or 11 that fixes its own grid,
 and the final compare alone decides membership.  The counting gates
-bound the letters that `words.lift` reads by a lift chain's count, at
-most |w| / 2**k at level k; the located descent reads none.
+hold the descent to one per word and public call; the package has no
+lift left to read a word's letters pair by pair (`reference.lift`).
 """
 
 import itertools
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from thuemorse import blocks, extensions, ktheory, trace, words
 from thuemorse.errors import (InvariantError, LevelError, NotAFactorError,
                               ResourceLimitError)
-from reference import letters
+from reference import letters, lift, parent_word
 
 
 # every factor of at most 8 letters, scanned from the reference prefix
@@ -39,7 +39,7 @@ def _reference_is_factor(w: str) -> bool:
     if len(w) <= 8:
         return w in _BASE_FACTORS
     return any(parent is not None and _reference_is_factor(parent)
-               for parent in (words._parent_word(w, 0), words._parent_word(w, 1)))
+               for parent in (parent_word(w, 0), parent_word(w, 1)))
 
 
 def _reference_chain(w: str) -> tuple:
@@ -50,7 +50,7 @@ def _reference_chain(w: str) -> tuple:
         for phase in (0, 1):
             if (len(c) - phase) // 2 < 2:
                 continue
-            up = words.lift(c, phase)
+            up = lift(c, phase)
             if up is None:
                 continue
             if found is not None:
@@ -234,13 +234,13 @@ def test_a_doubled_letter_fixes_the_grid():
         for c in map("".join, itertools.product("01", repeat=L)):
             for i in range(L - 1):
                 if c[i] == c[i + 1]:
-                    assert words.lift(c, i % 2) is None, (c, i)
+                    assert lift(c, i % 2) is None, (c, i)
 
 
 def test_a_word_lifting_on_both_grids_holds_an_overlap():
     for L in range(5, 15):
         for c in map("".join, itertools.product("01", repeat=L)):
-            if words.lift(c, 0) is not None and words.lift(c, 1) is not None:
+            if lift(c, 0) is not None and lift(c, 1) is not None:
                 assert "01010" in c or "10101" in c, c
 
 
@@ -252,20 +252,18 @@ def _pipeline(w: str):
 
 
 def test_a_fresh_factor_is_lifted_once(count_calls):
-    lifted = count_calls(words, "lift")
+    assert not hasattr(words, "lift")
     w = letters((1 << 47) + 919, (1 << 47) + 3919)  # a word no other test builds
     assert len(w) <= words.MAX_CACHED_LENGTH
     chunked = count_calls(words, "_descend_long")
     _pipeline(w)
-    # at most one lift chain's letters for the six calls, and the located
-    # descent lifts none; the five calls that descend w share one descent
-    assert sum(map(len, lifted)) <= 2 * len(w) + 2 * 6
+    # the five calls that descend w share one descent
     assert chunked == [w]
-    # nor does a rejected word, an alternating one included
+    # so does a rejected word, an alternating one included
     for bad in (w[:1000] + w[1000:1100] * 2 + w[1000] + w[1201:], "01" * 1500):
-        lifted.clear()
+        chunked.clear()
         assert not words.is_factor(bad)
-        assert sum(map(len, lifted)) < 2 * len(bad)
+        assert chunked == [bad]
 
 
 def test_a_descent_reads_at_most_one_window_of_the_sequence(monkeypatch):
@@ -293,7 +291,7 @@ def test_a_descent_reads_at_most_one_window_of_the_sequence(monkeypatch):
 
 
 def test_a_located_word_is_never_lifted(count_calls):
-    lifted = count_calls(words, "lift")
+    assert not hasattr(words, "lift")
     completed = count_calls(blocks, "_owner")
     chunked = count_calls(words, "_descend_long")
     start = (1 << 45) + 3333  # a nonzero offset at every level
@@ -308,17 +306,16 @@ def test_a_located_word_is_never_lifted(count_calls):
         w = words.tm_slice(start, start + L)
         assert words._descend(w) is not None
         assert words._descend(w[:-3] + "000") is None
-    assert len(chunked) == 6 and lifted == completed == []
+    assert len(chunked) == 6 and completed == []
 
 
 def test_an_uncached_factor_is_lifted_once_per_public_call(count_calls):
-    lifted = count_calls(words, "lift")
+    assert not hasattr(words, "lift")
     w = words.tm_slice(-(1 << 33) - 77, -(1 << 33) - 77 + words.MAX_WORD_LENGTH)
     assert len(w) > words.MAX_CACHED_LENGTH
     chunked = count_calls(words, "_descend_long")
     _pipeline(w)
     # five calls descend w; complete_boundaries only its block word
-    assert sum(map(len, lifted)) <= 10 * len(w) + 2 * 6
     assert len(chunked) <= 5
 
 

@@ -132,9 +132,7 @@ def test_empirical_trace_equals_the_window_count():
 
 
 def test_empirical_trace_builds_no_window():
-    # warm the counter's bounded memo, then count at the largest window: the
-    # letters x[-W..W-1] alone would take 2 MiB
-    repwindow.empirical_trace("0110", 1 << 20)
+    # the letters x[-W..W-1] at the largest window alone would take 2 MiB
     value, peak = peak_bytes(repwindow.empirical_trace, "0110", 1 << 20)
     assert value == _window_trace("0110", 1 << 20)
     assert peak < 64 << 10

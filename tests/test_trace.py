@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from thuemorse import blocks, ktheory, repwindow, trace, words
 from thuemorse.errors import NotAFactorError, ResourceLimitError
+from conftest import peak_bytes
 from reference import letters, scan
 
 SIXTH = Fraction(1, 6)
@@ -343,5 +344,7 @@ def test_frequency_builds_no_prefix_and_keeps_its_memo_bounded(monkeypatch):
     assert len(long_words) == 200
     for w in long_words:
         assert words._prefix_count(w, N) == prefix.count(w)
-    memo = words._short_prefix_count.cache_info()
-    assert memo.currsize <= memo.maxsize == 1 << 12
+    # the level-12 blocks, four joins of 2 |w| - 2 letters and two windows
+    w = words.tm_slice((1 << 50) + 77, (1 << 50) + 77 + 4096)
+    count, peak = peak_bytes(words._prefix_count, w, 1 << 26)
+    assert count > 0 and peak <= 8 * len(w) + 64 * 1024

@@ -1,4 +1,6 @@
+import bisect
 import itertools
+import random
 import sys
 import tracemalloc
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from thuemorse import words
 from thuemorse.errors import NotAFactorError, ResourceLimitError
 from conftest import peak_bytes
-from reference import complexity, letters, scan
+from reference import complexity, letters, lift, scan
 
 binary_words = st.text(alphabet="01", min_size=1, max_size=40)
 
@@ -161,7 +163,7 @@ def test_keane_output_cap():
 def test_lift_matches_pairwise_definition(s, phase):
     pairs = [s[i:i + 2] for i in range(phase, len(s) - 1, 2)]
     expected = None if any(p in ("00", "11") for p in pairs) else "".join(p[0] for p in pairs)
-    assert words.lift(s, phase) == expected
+    assert lift(s, phase) == expected
 
 
 def test_transform_examples():
@@ -364,18 +366,43 @@ def test_each_text_holds_exactly_the_factors_of_its_length(oracle_factors):
 
 
 def test_prefix_count_matches_letter_by_letter_scan(oracle_prefix):
-    # every factor of <= 6 letters, and the first non-factor of each length
-    # from 3 on (every word of one or two letters is a factor)
-    cases = []
+    # every factor of <= 6 letters and the first non-factor of each length
+    # from 3 on (every word of one or two letters is a factor), at n <= 512
+    short = []
     for L in range(1, 7):
         found = words.factors_of_length(L)
-        cases += found
-        cases += [w for w in map("".join, itertools.product("01", repeat=L))
-                  if w not in found][:1]
-    assert len(cases) == 50 + 4
-    for w in cases:
-        starts = scan(oracle_prefix[:512], w)
-        for n in range(513):
-            # the starts p of a scan of oracle_prefix[:n] are those with p + |w| <= n
-            expected = sum(p + len(w) <= n for p in starts)
-            assert words._prefix_count(w, n) == expected, (w, n)
+        short += found + [w for w in map("".join, itertools.product("01", repeat=L))
+                          if w not in found][:1]
+    assert len(short) == 50 + 4
+    # longer words, a third with one letter flipped, and a factor whose blocks
+    # lie past the block table, at n = 2**k +- 1 and 2**k + 2**j: the joins
+    rng = random.Random(45)
+    long = [oracle_prefix[12345:12345 + words.MAX_CACHED_LENGTH + 1]]
+    for L in range(7, 71):
+        w = oracle_prefix[(i := rng.randrange(len(oracle_prefix) - L)):i + L]
+        long.append(w if L % 3 else w[:(j := rng.randrange(L))] + "10"[int(w[j])] + w[j + 1:])
+    joins = [n for k in range(17) for n in [(1 << k) - 1, (1 << k) + 1] + [(1 << k) + (1 << j)
+             for j in range(k + 1)] if n <= len(oracle_prefix)]
+    for cases, prefix, ns in ((short, oracle_prefix[:512], range(513)), (long, oracle_prefix, joins)):
+        for w in cases:
+            # the starts p of a scan of prefix[:n] are those with p + |w| <= n
+            starts = scan(prefix, w)
+            for n in ns:
+                assert words._prefix_count(w, n) == bisect.bisect_right(starts, n - len(w)), (w, n)
+
+
+@pytest.mark.parametrize("L", [1, 4, 64, words.MAX_CACHED_LENGTH + 1])
+def test_a_prefix_count_reads_one_block_pair_and_two_windows(count_calls, L):
+    # and nothing of the descent, so the ergodic check it backs is independent
+    w = words.tm_slice((1 << 40) + 3, (1 << 40) + 3 + L)
+    K = (L - 1).bit_length()
+    words._pair(words._SHORT_LEVEL)  # the whole block table
+    pairs, slices, descents, texts = map(count_calls, [words] * 4,
+                                         ["_pair", "_slice", "_descent", "_text"])
+    for n in (L, (1 << (K + 3)) - 1, (1 << (K + 3)) + 1, 1 << 26):
+        del pairs[:], slices[:]
+        words._prefix_count(w, n)
+        # above the table, the blocks and windows join its top level's
+        assert pairs.count(K) == 1 and set(pairs) <= {K, words._SHORT_LEVEL}, (L, n)
+        assert len(slices) == 2 and (L > 64 or pairs == [K]), (L, n)
+    assert descents == texts == []
